@@ -320,6 +320,70 @@ let run_cmd =
 (* ------------------------------------------------------------------ *)
 (* batch: the whole corpus, crash-isolated                             *)
 
+(* [batch --stats]: the counters every session of the batch added — the
+   worker shards merged through Obs export/absorb — printed as
+   [run --stats] prints one run's: guest-behaviour counters and the
+   timing histograms, the tier table summed over sessions, and the
+   hottest blocks (labelled by scenario); plus the block mix by tier
+   (the [vm.blocks.*] and [harrier.summary.*] strategy counters).
+   Counters that depend on how work was spread over workers are left
+   out, so the report reads the same at any --jobs. *)
+let print_batch_stats stats outcomes =
+  let guest, strategy =
+    List.partition
+      (fun (n, _) -> not (Hth.Engine.strategy_counter n))
+      (List.filter
+         (fun (n, _) -> not (Fleet.Executor.partition_dependent n))
+         stats)
+  in
+  Fmt.pr "@.%a@." Hth.Report.pp_stats guest;
+  let results =
+    List.filter_map
+      (fun (o : Fleet.Executor.outcome) -> Result.to_option o.o_result)
+      outcomes
+  in
+  let tier =
+    List.fold_left
+      (fun (a : Hth.Engine.tier_counts) (r : Hth.Engine.result) ->
+        { Hth.Engine.tc_interpreted = a.tc_interpreted + r.tier.tc_interpreted;
+          tc_compiled = a.tc_compiled + r.tier.tc_compiled;
+          tc_summarized = a.tc_summarized + r.tier.tc_summarized;
+          tc_deopt = a.tc_deopt + r.tier.tc_deopt })
+      Hth.Engine.no_tier_counts results
+  in
+  Fmt.pr "%a@." Hth.Report.pp_tier tier;
+  let mix =
+    List.filter
+      (fun (n, _) ->
+        String.starts_with ~prefix:"vm.blocks." n
+        || String.starts_with ~prefix:"harrier.summary." n)
+      strategy
+  in
+  Fmt.pr "@[<v>block mix (%d):@," (List.length mix);
+  List.iter (fun (n, v) -> Fmt.pr "  %-24s %d@," n v) mix;
+  Fmt.pr "@]@.";
+  let hot =
+    List.concat
+      (List.map2
+         (fun (sc : Guest.Scenario.t) (o : Fleet.Executor.outcome) ->
+           match o.o_result with
+           | Ok r ->
+             List.map (fun (pid, addr, n) -> n, sc.sc_name, pid, addr)
+               r.hot_blocks
+           | Error _ -> [])
+         Guest.Corpus.all outcomes)
+    |> List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare b a)
+    |> List.filteri (fun i _ -> i < 10)
+  in
+  if hot <> [] then begin
+    Fmt.pr "@[<v>hot blocks (%d):@," (List.length hot);
+    List.iter
+      (fun (n, name, pid, addr) ->
+        Fmt.pr "  %-40s pid %d 0x%06x %d@," name pid addr n)
+      hot;
+    Fmt.pr "@]@."
+  end
+
 let batch_cmd =
   let doc =
     "Run the whole corpus through one shared engine, isolating \
@@ -362,8 +426,17 @@ let batch_cmd =
     in
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
   in
+  let batch_stats_flag =
+    let doc =
+      "After the summary, print the counters the whole batch collected \
+       (worker shards merged, so the counter lines are the same at any \
+       $(b,--jobs)), the summed tier table, the block mix by tier and \
+       the hottest blocks."
+    in
+    Arg.(value & flag & info [ "stats" ] ~doc)
+  in
   let run no_tier tier_threshold trust_nothing clips kill_at fault_plan
-      seed budget_specs share_taint jobs trace_dir store_dir =
+      seed budget_specs share_taint jobs trace_dir store_dir stats =
     let budgets = budgets_of budget_specs in
     let fault = fault_of fault_plan seed in
     let trust =
@@ -398,6 +471,7 @@ let batch_cmd =
     (* Every batch goes through the fleet (jobs=1 is a one-worker
        fleet); outcomes come back in submission order, so this prints
        the exact rows the old sequential loop printed. *)
+    let before = Obs.snapshot () in
     let ex = Fleet.Executor.create ~jobs [ "default", engine ] in
     let outcomes =
       Fleet.Executor.run_all ex
@@ -408,7 +482,9 @@ let batch_cmd =
                ~store:(Option.is_some store) sc.sc_setup)
            Guest.Corpus.all)
     in
+    (* shutdown absorbs every worker's Obs shard into this domain *)
     Fleet.Executor.shutdown ex;
+    let batch_stats = Obs.diff ~before ~after:(Obs.snapshot ()) in
     let failures = ref 0 and errors = ref 0 and degraded = ref 0 in
     Fmt.pr "%-40s %-18s %-22s %s@." "scenario" "expected" "outcome" "notes";
     List.iter2
@@ -469,6 +545,7 @@ let batch_cmd =
     Fmt.pr "@.%d scenarios: %d verdict mismatches, %d errors, %d degraded@."
       (List.length Guest.Corpus.all)
       !failures !errors !degraded;
+    if stats then print_batch_stats batch_stats outcomes;
     if !failures > 0 || !errors > 0 then exit 1
   in
   Cmd.v (Cmd.info "batch" ~doc)
@@ -476,7 +553,7 @@ let batch_cmd =
       const run $ no_tier_flag $ tier_threshold_arg $ trust_nothing_flag
       $ clips_flag $ kill_at_arg
       $ fault_plan_arg $ seed_arg $ budget_args $ share_taint_flag
-      $ jobs_arg $ trace_dir_arg $ batch_store_arg)
+      $ jobs_arg $ trace_dir_arg $ batch_store_arg $ batch_stats_flag)
 
 let trace_cmd =
   let doc =

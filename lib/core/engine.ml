@@ -275,6 +275,21 @@ let spawn_main ?images kernel s =
   | Error msg ->
     Stdlib.Error (Error.Load_failure { path = s.main; reason = msg })
 
+(* Strategy counters measure {e how} the run was executed — taint-arena
+   cache traffic, shadow fast-path hit rates, tier promotion/deopt
+   activity — not what the guest did.  They legitimately differ between
+   the tiered and the interpreted execution strategy (and, for
+   [taint.*], with arena warmth), so they are kept out of both
+   [result.stats] and the trace's embedded profile: those two surfaces
+   are byte-deterministic across strategies.  Guest-behaviour counters
+   ([vm.instructions], [vm.blocks], [vm.fetch_cache.*], [osim.*],
+   events, policy) stay, and the tiered fast path replicates them
+   exactly. *)
+let strategy_counter n =
+  List.exists
+    (fun p -> String.starts_with ~prefix:p n)
+    [ "taint."; "harrier.shadow."; "vm.blocks."; "harrier.summary." ]
+
 (* One increment per session under [session.outcome.<kind>]:
    ok / degraded for completed runs, the {!Error.kind} otherwise. *)
 let note_outcome kind =
@@ -332,8 +347,15 @@ let run_outcome_ambient eng ~budgets ~fault s =
   | kernel, monitor, secpert, events_log ->
     (* From here the kernel owns pooled address spaces: return them at
        tear-down on every exit path (the result only carries scalars,
-       strings and tag sets — never machine memory). *)
-    Fun.protect ~finally:(fun () -> Osim.Kernel.recycle kernel) @@ fun () ->
+       strings and tag sets — never machine memory).  The monitor's
+       tier, taint and shadow counts are settled into Obs on every exit
+       path too, so outside snapshot diffs and fleet shard exports see
+       them all; the success path settles before its own snapshot. *)
+    Fun.protect
+      ~finally:(fun () ->
+        Harrier.Monitor.settle monitor;
+        Osim.Kernel.recycle kernel)
+    @@ fun () ->
     (match phase "spawn" h_spawn (fun () -> spawn_main ?images kernel s) with
      | exception e ->
        fail (Error.Crash { phase = "spawn"; exn = Printexc.to_string e })
@@ -376,26 +398,8 @@ let run_outcome_ambient eng ~budgets ~fault s =
             @ truncated
           in
           note_outcome (if degraded = [] then "ok" else "degraded");
+          Harrier.Monitor.settle monitor;
           let stats_raw = Obs.diff ~before ~after:(Obs.snapshot ()) in
-          (* Strategy counters measure {e how} the run was executed —
-             taint-arena cache traffic, shadow fast-path hit rates,
-             tier promotion/deopt activity — not what the guest did.
-             They legitimately differ between the tiered and the
-             interpreted execution strategy (and, for [taint.*], with
-             arena warmth), so they are kept out of both [result.stats]
-             and the trace's embedded profile: those two surfaces are
-             byte-deterministic across strategies.  Guest-behaviour
-             counters ([vm.instructions], [vm.blocks],
-             [vm.fetch_cache.*], [osim.*], events, policy) stay, and
-             the tiered fast path replicates them exactly. *)
-          let strategy_counter n =
-            let has_prefix p =
-              String.length n >= String.length p
-              && String.sub n 0 (String.length p) = p
-            in
-            has_prefix "taint." || has_prefix "harrier.shadow."
-            || has_prefix "vm.blocks." || has_prefix "harrier.summary."
-          in
           let stats =
             List.filter (fun (n, _) -> not (strategy_counter n)) stats_raw
           in

@@ -67,6 +67,12 @@ type tier_counts = {
 
 val no_tier_counts : tier_counts
 
+(** [strategy_counter name] holds for the counters that measure how a
+    run was executed rather than what the guest did — [taint.*],
+    [harrier.shadow.*], [vm.blocks.*], [harrier.summary.*] — and that
+    {!result.stats} therefore leaves out. *)
+val strategy_counter : string -> bool
+
 type result = {
   os_report : Osim.Kernel.report;
   events : Harrier.Events.t list;

@@ -28,11 +28,13 @@ and rule = {
          no fact matches them under the accumulated bindings *)
   guard : t -> Pattern.bindings -> bool;
   action : t -> Pattern.bindings -> Fact.t list -> unit;
+  rule_firings : Obs.Counter.t;
 }
 
 let rule ~name ?(salience = 0) ?(negated = []) ?(guard = fun _ _ -> true)
     patterns action =
-  { rule_name = name; salience; negated; patterns; guard; action }
+  { rule_name = name; salience; negated; patterns; guard; action;
+    rule_firings = Obs.Counter.labeled "expert.firings" name }
 
 let c_asserted = Obs.Counter.make "expert.facts.asserted"
 let c_retracted = Obs.Counter.make "expert.facts.retracted"
@@ -200,7 +202,7 @@ let run ?(limit = 10_000) e =
       | Some (rule, bindings, matched, key) ->
         Hashtbl.replace e.fired key ();
         Obs.Counter.incr c_firings;
-        Obs.Counter.incr (Obs.Counter.labeled "expert.firings" rule.rule_name);
+        Obs.Counter.incr rule.rule_firings;
         if Obs.Trace.enabled () then
           Obs.Trace.emit "rule"
             [ "name", Obs.Str rule.rule_name;

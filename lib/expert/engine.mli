@@ -22,6 +22,9 @@ type rule = {
   guard : t -> Pattern.bindings -> bool;
       (** extra join test over the bindings (CLIPS [test] CE) *)
   action : t -> Pattern.bindings -> Fact.t list -> unit;
+  rule_firings : Obs.Counter.t;
+      (** the rule's [expert.firings.<name>] counter, resolved once when
+          the rule is built rather than on every firing *)
 }
 
 (** [rule ~name ?salience ?negated ?guard patterns action] builds a

@@ -291,6 +291,11 @@ let run_all t jobs =
 
 let stats t = Pool.stats t.pool
 
+let partition_dependent n =
+  List.exists
+    (fun p -> String.starts_with ~prefix:p n)
+    [ "fleet.steals"; "fleet.parks"; "engine.images." ]
+
 let shutdown t =
   close t;
   Pool.shutdown t.pool

@@ -119,3 +119,10 @@ val close : t -> unit
 val shutdown : t -> unit
 
 val stats : t -> Pool.stats
+
+(** [partition_dependent name] holds for the counters whose batch
+    totals depend on how the jobs were spread over workers: steals,
+    parks, and each worker fork's image-link cache traffic
+    ([engine.images.*]).  Every other counter absorbed at {!shutdown}
+    totals the same at any [jobs]. *)
+val partition_dependent : string -> bool

@@ -18,19 +18,20 @@ let write_tag shadow m size (op : Isa.Operand.t) tag =
   | Mem ref ->
     Shadow.set_range shadow (Vm.Machine.eff_addr m ref) (size_bytes size) tag
 
+let reg_tag shadow = function
+  | None -> Taint.Tagset.empty
+  | Some reg -> Shadow.reg shadow reg
+
 let step shadow m ~imm_tag (insn : Isa.Insn.t) =
   let sp = Shadow.space shadow in
   match insn with
   | Mov (sz, dst, s) ->
     write_tag shadow m sz dst (operand_tag shadow m imm_tag sz s)
   | Lea (r, ref) ->
-    let reg_tag = function
-      | None -> Taint.Tagset.empty
-      | Some reg -> Shadow.reg shadow reg
-    in
     Shadow.set_reg shadow r
       (Taint.Tagset.union sp imm_tag
-         (Taint.Tagset.union sp (reg_tag ref.base) (reg_tag ref.index)))
+         (Taint.Tagset.union sp (reg_tag shadow ref.base)
+            (reg_tag shadow ref.index)))
   | Add (d, s) | Sub (d, s) | And (d, s) | Or (d, s) | Xor (d, s)
   | Mul (d, s) | Div (d, s) | Shl (d, s) | Shr (d, s) ->
     let tag =

@@ -43,11 +43,21 @@ type tier_entry =
   | Ready of Summary.t option  (* [None]: compiled body, dataflow off *)
   | Rejected
 
+(* Tier table keyed by block leader: a monomorphic table with the
+   address itself as hash (leaders are distinct small ints), so the
+   per-block lookup makes no generic compare or [caml_hash] call. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash a = a land max_int
+end)
+
 type pstate = {
   pid : int;
   shadow : Shadow.t;
   sc : Shortcircuit.t;
-  tiers : (int, tier_entry) Hashtbl.t;
+  tiers : tier_entry Itbl.t;
   mutable pending_origin : Taint.Tagset.t option;
       (** origin of the resource name seen at the pre-syscall hook,
           attached to the fd at the post hook *)
@@ -73,13 +83,20 @@ type t = {
       (* last known origin of each resource name, for transfer sources *)
   imm_tags : (string, Taint.Tagset.t) Hashtbl.t;  (* image -> BINARY tag *)
   mutable pmap : (Vm.Machine.t * pstate) list;
-  mutable cur : (Vm.Machine.t * pstate) option;
+  mutable cur : (Vm.Machine.t * pstate option) option;
+      (* one-entry [state_of] cache; the inner option is built once per
+         switch, so a hit returns it without allocating *)
   mutable clone_times : int list;
   mutable sinks : (string * sink) list;  (* dispatch order = registration *)
   mutable count : int;
+  (* Tier counts: the single source of [tier_stats] and of the
+     [vm.blocks.promoted]/[deopt] and [harrier.summary.applied] Obs
+     counters, which [settle] brings up to date. *)
   mutable ts_compiled : int;  (* block executions run as compiled bodies *)
   mutable ts_summarized : int;  (* of those, with a taint summary applied *)
   mutable ts_deopt : int;  (* promotion rejections + runtime bail-outs *)
+  mutable ts_promoted : int;  (* blocks that crossed the threshold *)
+  settled : int array;  (* [ts_promoted; ts_deopt; ts_summarized] in Obs *)
 }
 
 let config t = t.cfg
@@ -100,12 +117,13 @@ let c_unknown = Obs.Counter.make "harrier.unknown_machine"
    [harrier.unknown_machine]) and the run is reported, not crashed. *)
 let state_of t m =
   match t.cur with
-  | Some (m', s) when m' == m -> Some s
+  | Some (m', s) when m' == m -> s
   | _ ->
     (match List.find_opt (fun (m', _) -> m' == m) t.pmap with
-     | Some ((_, s) as hit) ->
-       t.cur <- Some hit;
-       Some s
+     | Some (_, s) ->
+       let s = Some s in
+       t.cur <- Some (m, s);
+       s
      | None ->
        Obs.Counter.incr c_unknown;
        Log.warn (fun f -> f "unknown machine: observation dropped");
@@ -145,6 +163,18 @@ let event_kind : Events.t -> string = function
   | Events.Access _ -> "access"
   | Events.Alloc _ -> "alloc"
   | Events.Transfer _ -> "transfer"
+
+(* [harrier.events.<kind>] handles, resolved once per kind. *)
+let c_event_kinds =
+  let c kind = Obs.Counter.labeled "harrier.events" kind in
+  let exec = c "exec" and clone = c "clone" and access = c "access"
+  and alloc = c "alloc" and transfer = c "transfer" in
+  function
+  | Events.Exec _ -> exec
+  | Events.Clone _ -> clone
+  | Events.Access _ -> access
+  | Events.Alloc _ -> alloc
+  | Events.Transfer _ -> transfer
 
 (* Structured per-shape fields on the "flow" line: enough that a
    forensic consumer can resolve resource names and taint origins from
@@ -207,7 +237,7 @@ let trace_sink e =
 (* The metrics sink: per-run event totals, by kind. *)
 let metrics_sink e =
   Obs.Counter.incr c_events;
-  Obs.Counter.incr (Obs.Counter.labeled "harrier.events" (event_kind e));
+  Obs.Counter.incr (c_event_kinds e);
   Osim.Kernel.Allow
 
 (* Dispatch an event to every subscriber in registration order.  All
@@ -283,10 +313,10 @@ let hook_insn t m addr insn =
     (match (insn : Isa.Insn.t) with
      | Call target ->
        let dest = Vm.Machine.read_operand m Isa.Insn.W target in
-       (match Hashtbl.find_opt t.routines dest with
-        | Some routine ->
+       (match Hashtbl.find t.routines dest with
+        | routine ->
           Shortcircuit.on_call s.sc ~routine m s.shadow ~ret_addr:(addr + 1)
-        | None -> ())
+        | exception Not_found -> ())
      | Ret -> Shortcircuit.on_ret s.sc m s.shadow
      | _ -> ());
     if t.cfg.track_dataflow then begin
@@ -314,30 +344,26 @@ let hook_insn t m addr insn =
 (* ------------------------------------------------------------------ *)
 (* Tier policy                                                         *)
 
-let c_promoted = Obs.Counter.make "vm.blocks.promoted"
-let c_deopt = Obs.Counter.make "vm.blocks.deopt"
-let c_summary_applied = Obs.Counter.make "harrier.summary.applied"
-
 let apply_summary t s m sm =
-  match Summary.apply sm s.shadow m with
-  | Summary.Applied g ->
-    Obs.Counter.incr c_summary_applied;
+  if Summary.apply sm s.shadow m then begin
     t.ts_compiled <- t.ts_compiled + 1;
     t.ts_summarized <- t.ts_summarized + 1;
-    (match g with Some tag -> s.guard <- tag | None -> ());
+    let g = Summary.guard sm in
+    if not (Taint.Tagset.is_empty g) then s.guard <- g;
     true
-  | Summary.Deopt ->
+  end
+  else begin
     (* an address left the block's proven bounds this time around: the
        interpreter runs the block so the fault (or wrapped access)
        lands at exactly the right instruction; the block stays Ready *)
-    Obs.Counter.incr c_deopt;
     t.ts_deopt <- t.ts_deopt + 1;
     false
+  end
 
 let promote t s (seg : Vm.Machine.segment) addr len m =
-  Obs.Counter.incr c_promoted;
+  t.ts_promoted <- t.ts_promoted + 1;
   if not t.cfg.track_dataflow then begin
-    Hashtbl.replace s.tiers addr (Ready None);
+    Itbl.replace s.tiers addr (Ready None);
     t.ts_compiled <- t.ts_compiled + 1;
     true
   end
@@ -345,15 +371,14 @@ let promote t s (seg : Vm.Machine.segment) addr len m =
     match Isa.Block.analyze seg.seg_insns ~pos:(addr - seg.seg_base) ~len with
     | None ->
       (* flow not exactly capturable: permanent deopt to interpretation *)
-      Obs.Counter.incr c_deopt;
       t.ts_deopt <- t.ts_deopt + 1;
-      Hashtbl.replace s.tiers addr Rejected;
+      Itbl.replace s.tiers addr Rejected;
       false
     | Some flow ->
       let sm =
         Summary.make ~space:t.space ~imm_tag:(imm_tag t seg.seg_image) flow
       in
-      Hashtbl.replace s.tiers addr (Ready (Some sm));
+      Itbl.replace s.tiers addr (Ready (Some sm));
       apply_summary t s m sm
 
 (* The [on_block] hook: the VM offers a straight-line body before
@@ -365,22 +390,38 @@ let hook_block t m seg addr len =
   match state_of t m with
   | None -> false
   | Some s ->
-    (match Hashtbl.find_opt s.tiers addr with
-     | Some (Ready None) ->
+    (match Itbl.find s.tiers addr with
+     | Ready None ->
        t.ts_compiled <- t.ts_compiled + 1;
        true
-     | Some (Ready (Some sm)) -> apply_summary t s m sm
-     | Some Rejected -> false
-     | Some (Cold n) ->
+     | Ready (Some sm) -> apply_summary t s m sm
+     | Rejected -> false
+     | Cold n ->
        incr n;
        if !n >= t.cfg.tier_threshold then promote t s seg addr len m
        else false
-     | None ->
+     | exception Not_found ->
        if t.cfg.tier_threshold <= 1 then promote t s seg addr len m
        else begin
-         Hashtbl.replace s.tiers addr (Cold (ref 1));
+         Itbl.replace s.tiers addr (Cold (ref 1));
          false
        end)
+
+let c_promoted = Obs.Counter.make "vm.blocks.promoted"
+let c_deopt = Obs.Counter.make "vm.blocks.deopt"
+let c_summary_applied = Obs.Counter.make "harrier.summary.applied"
+
+let settle t =
+  let flush i c n =
+    if n <> t.settled.(i) then begin
+      Obs.Counter.add c (n - t.settled.(i));
+      t.settled.(i) <- n
+    end
+  in
+  flush 0 c_promoted t.ts_promoted;
+  flush 1 c_deopt t.ts_deopt;
+  flush 2 c_summary_applied t.ts_summarized;
+  Taint.Space.settle t.space
 
 let tier_stats t = (t.ts_compiled, t.ts_summarized, t.ts_deopt)
 
@@ -395,7 +436,7 @@ let on_process_start t (p : Osim.Process.t) =
       shadow =
         Shadow.create ?page_budget:t.cfg.shadow_page_budget ~space:t.space ();
       sc = Shortcircuit.create t.cfg.shortcircuit;
-      tiers = Hashtbl.create 32; pending_origin = None;
+      tiers = Itbl.create 32; pending_origin = None;
       guard = Taint.Tagset.empty; seg_info = None }
   in
   t.pmap <- (p.machine, s) :: t.pmap;
@@ -437,7 +478,7 @@ let on_fork t ~(parent : Osim.Process.t) ~(child : Osim.Process.t) =
         (* fresh tier table: the child re-warms its own hit counts
            (summaries are cheap to rebuild and hit counts are per
            process by design) *)
-        tiers = Hashtbl.create 32; pending_origin = ps.pending_origin;
+        tiers = Itbl.create 32; pending_origin = ps.pending_origin;
         guard = ps.guard; seg_info = ps.seg_info }
     in
     (* the child's eax holds fork's result, written by the kernel *)
@@ -619,7 +660,7 @@ let attach ?(config = default_config) ?space kernel =
       name_origins = Hashtbl.create 32;
       imm_tags = Hashtbl.create 8; pmap = []; cur = None; clone_times = [];
       sinks = []; count = 0; ts_compiled = 0; ts_summarized = 0;
-      ts_deopt = 0 }
+      ts_deopt = 0; ts_promoted = 0; settled = Array.make 3 0 }
   in
   let hooks = Osim.Kernel.hooks kernel in
   if config.track_dataflow || config.shortcircuit <> [] then

@@ -85,6 +85,17 @@ val shadow_of_pid : t -> int -> Shadow.t option
     rejections plus runtime bounds bail-outs back to interpretation). *)
 val tier_stats : t -> int * int * int
 
+(** [settle t] brings the Obs counters fed by the per-block and
+    per-access paths up to date: [vm.blocks.promoted],
+    [vm.blocks.deopt] and [harrier.summary.applied] from the tier
+    counts above (only what earlier settles have not added, so it is
+    idempotent), then the monitor's taint space ({!Taint.Space.settle}:
+    [taint.*] and [harrier.shadow.*]).  Those paths count into plain
+    fields instead of paying an Obs domain-local lookup each time;
+    the session engine calls this before reading an Obs snapshot, on
+    every exit path. *)
+val settle : t -> unit
+
 (** [hot_blocks t ~limit] is the top-[limit] hottest application basic
     blocks as [(pid, leader, count)] (see {!Freq.hot}); deterministic
     ordering. *)

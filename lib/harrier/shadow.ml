@@ -26,6 +26,7 @@ let no_page = { data = [||]; live = 0 }
 
 type t = {
   space : Taint.Space.t;  (* hash-consing arena for every union below *)
+  cnt : Taint.Tagset.counts;  (* the space's counts: accesses land here *)
   regs : Taint.Tagset.t array;
   pages : (int, page) Hashtbl.t;  (* page index -> page *)
   budget : int;  (* max live pages before saturation (max_int = none) *)
@@ -38,22 +39,18 @@ type t = {
   mutable last_page : page;
 }
 
-let c_loads = Obs.Counter.make "harrier.shadow.loads"
-let c_stores = Obs.Counter.make "harrier.shadow.stores"
-
-(* A gauge: +1 on page allocation, -1 on reclaim, so the counter's
-   current value is the number of live pages. *)
-let c_pages_live = Obs.Counter.make "harrier.shadow.pages_live"
-
-(* One increment per shadow that crosses into saturation. *)
-let c_degraded = Obs.Counter.make "harrier.degraded"
-let c_refused = Obs.Counter.make "harrier.shadow.stores_refused"
+(* Counting goes to the space's count record, settled into Obs by the
+   session engine ({!Taint.Space.settle}): [shadow_loads]/[stores] per
+   access, [shadow_refused] per refused store, [shadow_degraded] once
+   per shadow that crosses into saturation, and [shadow_pages_live] as
+   a gauge (+1 on page allocation, -1 on reclaim). *)
 
 let create ?page_budget ?space () =
   let space =
     match space with Some sp -> sp | None -> Taint.Space.create ()
   in
-  { space; regs = Array.make Isa.Reg.count Taint.Tagset.empty;
+  { space; cnt = Taint.Tagset.counts space;
+    regs = Array.make Isa.Reg.count Taint.Tagset.empty;
     pages = Hashtbl.create 64;
     budget = (match page_budget with Some b -> max 0 b | None -> max_int);
     overflow = Taint.Tagset.empty; tagged = 0; last_idx = min_int;
@@ -68,20 +65,22 @@ let live_pages s = Hashtbl.length s.pages
 (* Refuse a store the page budget cannot accommodate: widen [overflow]
    instead, so subsequent reads still see the tag (and possibly more). *)
 let refuse s tag =
-  Obs.Counter.incr c_refused;
-  if not (degraded s) then Obs.Counter.incr c_degraded;
+  s.cnt.shadow_refused <- s.cnt.shadow_refused + 1;
+  if not (degraded s) then s.cnt.shadow_degraded <- s.cnt.shadow_degraded + 1;
   s.overflow <- Taint.Tagset.union s.space s.overflow tag
 
 let clone s =
   let pages = Hashtbl.create (Hashtbl.length s.pages) in
-  Obs.Counter.add c_pages_live (Hashtbl.length s.pages);
+  s.cnt.shadow_pages_live <- s.cnt.shadow_pages_live + Hashtbl.length s.pages;
   Hashtbl.iter
     (fun idx p ->
       Hashtbl.add pages idx { data = Array.copy p.data; live = p.live })
     s.pages;
-  { space = s.space; regs = Array.copy s.regs; pages; budget = s.budget;
-    overflow = s.overflow; tagged = s.tagged; last_idx = min_int;
-    last_page = no_page }
+  { space = s.space; cnt = s.cnt; regs = Array.copy s.regs; pages;
+    budget = s.budget; overflow = s.overflow; tagged = s.tagged;
+    last_idx = min_int; last_page = no_page }
+
+let regs s = s.regs
 
 let[@inline] reg s r = s.regs.(Isa.Reg.index r)
 
@@ -103,13 +102,13 @@ let get_page s idx =
   end
 
 let add_page s idx p =
-  Obs.Counter.incr c_pages_live;
+  s.cnt.shadow_pages_live <- s.cnt.shadow_pages_live + 1;
   Hashtbl.add s.pages idx p;
   s.last_idx <- idx;
   s.last_page <- p
 
 let remove_page s idx =
-  Obs.Counter.add c_pages_live (-1);
+  s.cnt.shadow_pages_live <- s.cnt.shadow_pages_live - 1;
   Hashtbl.remove s.pages idx;
   if s.last_idx = idx then s.last_page <- no_page
 
@@ -120,7 +119,7 @@ let[@inline] widen s t =
   else Taint.Tagset.union s.space t s.overflow
 
 let byte s addr =
-  Obs.Counter.incr c_loads;
+  s.cnt.shadow_loads <- s.cnt.shadow_loads + 1;
   let p = get_page s (addr asr page_bits) in
   widen s
     (if p == no_page then Taint.Tagset.empty
@@ -129,7 +128,7 @@ let byte s addr =
 let fresh_page () = { data = Array.make page_size Taint.Tagset.empty; live = 0 }
 
 let set_byte s addr tag =
-  Obs.Counter.incr c_stores;
+  s.cnt.shadow_stores <- s.cnt.shadow_stores + 1;
   let idx = addr asr page_bits in
   let p = get_page s idx in
   if p != no_page && p.data.(addr land page_mask) == tag then
@@ -187,7 +186,7 @@ let union_in_page sp p off n acc =
   go off acc
 
 let range s addr len =
-  Obs.Counter.incr c_loads;
+  s.cnt.shadow_loads <- s.cnt.shadow_loads + 1;
   let off = addr land page_mask in
   if len = 1 then begin
     (* single byte — every byte-sized mov lands here *)
@@ -262,7 +261,7 @@ let set_in_page s idx off n tag =
 let set_range s addr len tag =
   if len = 1 then set_byte s addr tag
   else if len > 0 then begin
-    Obs.Counter.incr c_stores;
+    s.cnt.shadow_stores <- s.cnt.shadow_stores + 1;
     let off = addr land page_mask in
     if off + len <= page_size then
       set_in_page s (addr asr page_bits) off len tag

@@ -38,6 +38,10 @@ val clone : t -> t
 
 val reg : t -> Isa.Reg.t -> Taint.Tagset.t
 
+(** [regs s] is the live register tag file, indexed by
+    {!Isa.Reg.index}, for {!Summary}'s per-block loop. *)
+val regs : t -> Taint.Tagset.t array
+
 val set_reg : t -> Isa.Reg.t -> Taint.Tagset.t -> unit
 
 val byte : t -> int -> Taint.Tagset.t

@@ -10,33 +10,30 @@
    in program order.
 
    [apply] is the whole point of the compiled tier, so it is written to
-   do no heap allocation on the steady-state path: the loops are plain
-   indexed [for]s over parallel arrays (no closures, no tuple keys), and
-   every taint expression memoizes its last input tags.  Tag sets are
-   interned, so "the inputs didn't change since the previous
-   application" is a handful of pointer compares — and a tight guest
-   loop whose operand tags have stabilized (the overwhelmingly common
-   case) replays its entire transfer without touching the union memo at
-   all.
+   do no heap allocation on the steady-state path: the loops are
+   top-level tail recursions over parallel arrays (no closures, no ref
+   cells, no tuple keys), registers are pre-resolved to indices into the
+   machine's and the shadow's register files (read directly, not through
+   a call per access), the result is a bool with the guard read back
+   from the scratch tags, and every taint expression memoizes its last
+   input tags.  Tag sets are interned, so "the inputs didn't change
+   since the previous application" is a handful of pointer compares —
+   and a tight guest loop whose operand tags have stabilized (the
+   overwhelmingly common case) replays its entire transfer without
+   touching the union memo at all.
 
    Summaries are built per run and applied single-threaded, so the
    scratch and memo arrays live inside the summary value. *)
 
-type outcome =
-  | Applied of Taint.Tagset.t option
-      (* summary applied; the payload is the new trigger-guard tag, if
-         any compare/test in the block evaluated non-empty *)
-  | Deopt  (* bounds precondition failed: interpret this execution *)
-
 type addr = {
-  a_regs : Isa.Reg.t array;  (* parallel with [a_coefs] *)
+  a_regs : int array;  (* register indices, parallel with [a_coefs] *)
   a_coefs : int array;
   a_disp : int;
   a_len : int;
 }
 
 type ctex = {
-  c_regs : Isa.Reg.t array;  (* entry register tags *)
+  c_regs : int array;  (* register indices: entry register tags *)
   c_mems : int array;  (* indices into [s_addrs], entry range tags *)
   c_imm : bool;
   c_hw : bool;
@@ -46,7 +43,7 @@ type ctex = {
 }
 
 type cwrite =
-  | W_reg of Isa.Reg.t * int  (* register, texpr index *)
+  | W_reg of int * int  (* register index, texpr index *)
   | W_mem of int * int  (* addr index, texpr index *)
 
 type t = {
@@ -62,7 +59,8 @@ type t = {
 }
 
 let compile_avalue (av : Isa.Block.avalue) len =
-  { a_regs = Array.of_list (List.map fst av.av_coefs);
+  { a_regs =
+      Array.of_list (List.map (fun (r, _) -> Isa.Reg.index r) av.av_coefs);
     a_coefs = Array.of_list (List.map snd av.av_coefs);
     a_disp = av.av_disp;
     a_len = len }
@@ -98,7 +96,7 @@ let make ~space ~imm_tag (flow : Isa.Block.flow) =
     List.map
       (fun (w : Isa.Block.write) ->
         match w with
-        | Isa.Block.W_reg (r, x) -> W_reg (r, tex_index x)
+        | Isa.Block.W_reg (r, x) -> W_reg (Isa.Reg.index r, tex_index x)
         | Isa.Block.W_mem (av, len, x) ->
           W_mem (addr_index (av, len), tex_index x))
       flow.f_writes
@@ -106,7 +104,7 @@ let make ~space ~imm_tag (flow : Isa.Block.flow) =
   let guards = List.map tex_index flow.f_guards in
   let compile_tex (x : Isa.Block.texpr) =
     let nr = List.length x.x_regs and nm = List.length x.x_mems in
-    { c_regs = Array.of_list x.x_regs;
+    { c_regs = Array.of_list (List.map Isa.Reg.index x.x_regs);
       c_mems = Array.of_list (List.map addr_index x.x_mems);
       c_imm = x.x_imm;
       c_hw = x.x_hw;
@@ -127,21 +125,17 @@ let make ~space ~imm_tag (flow : Isa.Block.flow) =
 
 let mem_size = Vm.Machine.mem_size
 
-(* The helpers below are written as tail recursions over accumulators
-   (rather than [for] + [ref]) so the steady-state [apply] allocates
-   nothing at all — not even the ref cells. *)
+(* The helpers below are top-level tail recursions over accumulators
+   (rather than [for] + [ref], or local closures) so the steady-state
+   [apply] allocates nothing at all. *)
 
-let[@inline] eval_addr m (a : addr) =
-  let n = Array.length a.a_regs in
-  let rec go k v =
-    if k >= n then v
-    else
-      go (k + 1)
-        (v
-         + Array.unsafe_get a.a_coefs k
-           * Vm.Machine.get_reg m (Array.unsafe_get a.a_regs k))
-  in
-  go 0 a.a_disp
+let rec eval_terms regs (a : addr) k v =
+  if k >= Array.length a.a_regs then v
+  else
+    eval_terms regs a (k + 1)
+      (v
+       + Array.unsafe_get a.a_coefs k
+         * Array.unsafe_get regs (Array.unsafe_get a.a_regs k))
 
 (* Evaluate every touched address into [s_vals]; [false] on the first
    bounds miss.  Unmasked evaluation is conservative: a
@@ -151,7 +145,7 @@ let rec eval_addrs s m i =
   i >= Array.length s.s_addrs
   || begin
     let a = Array.unsafe_get s.s_addrs i in
-    let v = eval_addr m a in
+    let v = eval_terms (Vm.Machine.regs m) a 0 a.a_disp in
     v >= 0
     && v + a.a_len <= mem_size
     && begin
@@ -162,15 +156,15 @@ let rec eval_addrs s m i =
 
 (* Gather a texpr's entry inputs into its memo slots; the result is
    "every input was pointer-equal to the previous application's". *)
-let rec gather_regs shadow x k same =
+let rec gather_regs tags x k same =
   if k >= Array.length x.c_regs then same
   else begin
-    let t = Shadow.reg shadow (Array.unsafe_get x.c_regs k) in
+    let t = Array.unsafe_get tags (Array.unsafe_get x.c_regs k) in
     if t != Array.unsafe_get x.c_in k then begin
       Array.unsafe_set x.c_in k t;
-      gather_regs shadow x (k + 1) false
+      gather_regs tags x (k + 1) false
     end
-    else gather_regs shadow x (k + 1) same
+    else gather_regs tags x (k + 1) same
   end
 
 let rec gather_mems s shadow x nr k same =
@@ -204,7 +198,7 @@ let rec eval_texprs s shadow i =
   if i < Array.length s.s_texprs then begin
     let x = Array.unsafe_get s.s_texprs i in
     let nr = Array.length x.c_regs in
-    let same = gather_regs shadow x 0 x.c_valid in
+    let same = gather_regs (Shadow.regs shadow) x 0 x.c_valid in
     let same = gather_mems s shadow x nr 0 same in
     if not same then begin
       let seed =
@@ -227,29 +221,28 @@ let rec last_guard s i acc =
   if i >= Array.length s.s_guards then acc
   else
     let t = Array.unsafe_get s.s_tags (Array.unsafe_get s.s_guards i) in
-    last_guard s (i + 1) (if Taint.Tagset.is_empty t then acc else Some t)
+    last_guard s (i + 1) (if Taint.Tagset.is_empty t then acc else t)
 
-let applied_clean = Applied None
+let guard s = last_guard s 0 Taint.Tagset.empty
 
 let apply s shadow m =
   (* 1. evaluate and bounds-check every touched address; a single miss
      deopts the whole block (the interpreter re-runs it and faults at
      the precise instruction) *)
-  if not (eval_addrs s m 0) then Deopt
-  else begin
+  eval_addrs s m 0
+  && begin
     eval_texprs s shadow 0;
     (* 3. apply writes in program order *)
     let n_writes = Array.length s.s_writes in
+    let tags = Shadow.regs shadow in
     for i = 0 to n_writes - 1 do
       match Array.unsafe_get s.s_writes i with
-      | W_reg (r, x) -> Shadow.set_reg shadow r (Array.unsafe_get s.s_tags x)
+      | W_reg (r, x) -> Array.unsafe_set tags r (Array.unsafe_get s.s_tags x)
       | W_mem (ai, x) ->
         Shadow.set_range shadow
           (Array.unsafe_get s.s_vals ai)
           (Array.unsafe_get s.s_addrs ai).a_len
           (Array.unsafe_get s.s_tags x)
     done;
-    match last_guard s 0 None with
-    | None -> applied_clean
-    | some -> Applied some
+    true
   end

@@ -10,22 +10,24 @@
 
 type t
 
-type outcome =
-  | Applied of Taint.Tagset.t option
-      (** shadow updated; the payload is the new trigger-guard tag when
-          some compare/test in the block evaluated non-empty *)
-  | Deopt
-      (** an address failed its bounds precondition: the caller must
-          interpret this execution so the fault (or wrapped access)
-          surfaces at exactly the right instruction *)
-
 (** [make ~space ~imm_tag flow] compiles [flow].  [imm_tag] is the
     BINARY provenance tag of the image the block lives in; [space] the
     arena all tag unions run in. *)
 val make : space:Taint.Space.t -> imm_tag:Taint.Tagset.t -> Isa.Block.flow -> t
 
 (** [apply s shadow m] applies the summary against [shadow] using [m]'s
-    current (block-entry) register values for address evaluation.  Not
-    re-entrant: summaries carry scratch state and are applied from one
-    run at a time. *)
-val apply : t -> Shadow.t -> Vm.Machine.t -> outcome
+    current (block-entry) register values for address evaluation, and
+    returns [true].  It returns [false] (deopt) without touching
+    [shadow] when an address fails its bounds precondition: the caller
+    must then interpret this execution so the fault (or wrapped access)
+    surfaces at exactly the right instruction.  Allocates nothing once
+    the block's operand tags have stabilized.  Not re-entrant:
+    summaries carry scratch state and are applied from one run at a
+    time. *)
+val apply : t -> Shadow.t -> Vm.Machine.t -> bool
+
+(** [guard s] is, after an [apply] that returned [true], the tag of the
+    last compare/test in the block that evaluated non-empty — the new
+    trigger guard — or [Taint.Tagset.empty] when none did (the caller's
+    guard is then unchanged). *)
+val guard : t -> Taint.Tagset.t

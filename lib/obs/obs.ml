@@ -1,10 +1,17 @@
 (* Zero-dependency observability: counters, histograms, span timers and
    a pluggable structured-event sink.
 
-   Discipline: the disabled paths must be free.  [Counter.incr] is a
-   domain-local array store (safe on per-instruction paths), and trace
-   emission sites guard on [Trace.enabled] *before* building their field
-   lists, so the no-op sink allocates nothing.  Wall-clock time never
+   Discipline: the disabled paths must be free.  Trace emission sites
+   guard on [Trace.enabled] *before* building their field lists, so the
+   no-op sink allocates nothing.  [Counter.incr] is a [Domain.DLS]
+   lookup plus an array store — about 10 ns, eight times a plain field
+   increment — so it belongs at per-event granularity or coarser
+   (syscalls, events, rule firings, sessions).  Per-instruction,
+   per-block and per-shadow-access paths count into plain fields of
+   their owner (the VM machine, the taint space, the monitor) and add
+   them here with [Counter.add] at a quantum or session boundary; see
+   DESIGN.md §8.  Resolve [Counter.labeled] handles once per label, not
+   per occurrence: each call takes the registry lock.  Wall-clock time never
    enters the trace — only the monotone step index — so traces of a
    deterministic simulation are byte-identical across runs; timings go
    to histograms, which surface in stats only.

@@ -2,8 +2,10 @@
     and a pluggable structured-event sink.
 
     Overhead discipline: the library must be free when observability is
-    off.  {!Counter.incr} is one domain-local array store — cheap
-    enough for per-instruction paths.  {!Trace.emit} does nothing under
+    off.  {!Counter.incr} is a domain-local lookup plus an array store
+    (about 10 ns): fine per event, too dear per instruction, where
+    callers count into their own fields and {!Counter.add} the total at
+    a quantum or session boundary.  {!Trace.emit} does nothing under
     the no-op sink, and call sites are expected to guard with
     {!Trace.enabled} before building field lists so the disabled path
     allocates nothing.  Wall-clock time never enters the trace (only a

@@ -43,6 +43,30 @@ let c_syscalls = Obs.Counter.make "osim.syscalls"
 let c_switches = Obs.Counter.make "osim.context_switches"
 let c_faults = Obs.Counter.make "osim.faults.injected"
 
+(* Members of the labeled families, resolved once here rather than per
+   occurrence ([Counter.labeled] takes the registry lock and builds a
+   string).  Unknown syscall numbers and errnos no plan can draw fall
+   back to the uncached call. *)
+let c_syscall_kinds =
+  Array.map (Obs.Counter.labeled "osim.syscalls") Syscall.names
+
+let syscall_counter (sc : Syscall.t) =
+  match sc with
+  | Unknown _ -> Obs.Counter.labeled "osim.syscalls" (Syscall.name sc)
+  | _ -> c_syscall_kinds.(Syscall.index sc)
+
+let c_fault_kinds =
+  List.map
+    (fun f -> f, Obs.Counter.labeled "osim.faults.injected" (Fault.kind_name f))
+    Fault.
+      [ Errno Abi.enoent; Errno Abi.eio; Errno Abi.enomem; Errno Abi.eagain;
+        Errno Abi.ebadf; Short; Stall; Reset ]
+
+let fault_counter f =
+  match List.assoc_opt f c_fault_kinds with
+  | Some c -> c
+  | None -> Obs.Counter.labeled "osim.faults.injected" (Fault.kind_name f)
+
 let stack_top = 0xFF000
 
 let create ?(quantum = 2000) ?(max_procs = 48) ?monitor ?hooks
@@ -323,6 +347,8 @@ let do_exec k (p : Process.t) path argv =
       (match fresh_machine k path ~argv ~env:[] with
        | exception Load_failed _ -> Done (-Abi.enoexec)
        | machine, images ->
+         (* the replaced image's counts would otherwise be lost with it *)
+         Vm.Machine.settle p.machine;
          p.machine <- machine;
          p.exe_path <- path;
          p.argv <- argv;
@@ -544,8 +570,7 @@ let handle_syscall k (p : Process.t) ~retry =
     let sc = match fault with Some Fault.Short -> shorten sc0 | _ -> sc0 in
     let note_injection f =
       Obs.Counter.incr c_faults;
-      Obs.Counter.incr
-        (Obs.Counter.labeled "osim.faults.injected" (Fault.kind_name f));
+      Obs.Counter.incr (fault_counter f);
       if Obs.Trace.enabled () then begin
         let res, _ = fault_res sc in
         Obs.Trace.emit "fault"
@@ -569,7 +594,7 @@ let handle_syscall k (p : Process.t) ~retry =
           f "[%d] pid %d %a" k.k_ticks p.pid Syscall.pp sc);
       if not retry then begin
         Obs.Counter.incr c_syscalls;
-        Obs.Counter.incr (Obs.Counter.labeled "osim.syscalls" (Syscall.name sc))
+        Obs.Counter.incr (syscall_counter sc)
       end;
       let trace_done result =
         if Obs.Trace.enabled () then
@@ -605,40 +630,45 @@ let handle_syscall k (p : Process.t) ~retry =
         k.k_monitor.on_post_syscall p sc ~result:0
     end
 
+(* Tiered dispatch: a hot straight-line block retires as one unit
+   (never overrunning the quantum — blocks longer than the remaining
+   fuel are interpreted); everything else is exactly one interpreted
+   step.  Ticks advance by the retired count before the outcome is
+   handled, so a syscall observes the same clock as under
+   per-instruction stepping.  [p.machine] is re-read every step: an
+   execve replaces it mid-quantum. *)
+let rec quantum_loop k (p : Process.t) steps =
+  if
+    steps < k.quantum
+    && (match p.state with Process.Runnable -> true | _ -> false)
+  then begin
+    let m = p.machine in
+    let out = Vm.Machine.step_block m ~fuel:(k.quantum - steps) in
+    let n = Vm.Machine.retired m in
+    k.k_ticks <- k.k_ticks + n;
+    (match out with
+     | Continue -> ()
+     | Syscall 0x80 -> handle_syscall k p ~retry:false
+     | Syscall _ -> Vm.Machine.set_reg m EAX (-38)
+     | Stopped Halted -> p.state <- Exited 0
+     | Stopped (Faulted f) ->
+       p.state <- Killed (Fmt.to_to_string Vm.Machine.pp_fault f)
+     | Stopped Running ->
+       (* a VM invariant violation; contain it to this process *)
+       p.state <- Killed "vm invariant: step returned Stopped Running");
+    quantum_loop k p (steps + n)
+  end
+
+(* The machine counts into its own fields; settling them here, on every
+   exit path, keeps the Obs counters exact at quantum granularity. *)
 let run_quantum k (p : Process.t) =
   if p.pid <> k.last_run_pid then begin
     Obs.Counter.incr c_switches;
     k.last_run_pid <- p.pid
   end;
-  let steps = ref 0 in
-  (* constructor match, not polymorphic compare — this test runs once
-     per simulated instruction *)
-  let runnable () =
-    match p.state with Process.Runnable -> true | _ -> false
-  in
-  while !steps < k.quantum && runnable () do
-    (* tiered dispatch: a hot straight-line block retires as one unit
-       (never overrunning the quantum — blocks longer than the
-       remaining fuel are interpreted); everything else is exactly one
-       interpreted step.  Ticks advance by the retired count before the
-       outcome is handled, so a syscall observes the same clock as
-       under per-instruction stepping. *)
-    let out, n =
-      Vm.Machine.step_block p.machine ~fuel:(k.quantum - !steps)
-    in
-    steps := !steps + n;
-    k.k_ticks <- k.k_ticks + n;
-    match out with
-    | Continue -> ()
-    | Syscall 0x80 -> handle_syscall k p ~retry:false
-    | Syscall _ -> Vm.Machine.set_reg p.machine EAX (-38)
-    | Stopped Halted -> p.state <- Exited 0
-    | Stopped (Faulted f) ->
-      p.state <- Killed (Fmt.to_to_string Vm.Machine.pp_fault f)
-    | Stopped Running ->
-      (* a VM invariant violation; contain it to this process *)
-      p.state <- Killed "vm invariant: step returned Stopped Running"
-  done
+  Fun.protect
+    ~finally:(fun () -> Vm.Machine.settle p.machine)
+    (fun () -> quantum_loop k p 0)
 
 type report = {
   rep_ticks : int;

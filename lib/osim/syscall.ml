@@ -35,26 +35,36 @@ type t =
                 mutable peer : string option }
   | Unknown of { number : int }
 
+let names =
+  [| "SYS_exit"; "SYS_clone"; "SYS_read"; "SYS_write"; "SYS_open";
+     "SYS_creat"; "SYS_close"; "SYS_execve"; "SYS_time"; "SYS_getpid";
+     "SYS_dup"; "SYS_nanosleep"; "SYS_brk"; "SYS_socket"; "SYS_bind";
+     "SYS_connect"; "SYS_listen"; "SYS_accept" |]
+
+let index = function
+  | Exit _ -> 0
+  | Fork -> 1
+  | Read _ -> 2
+  | Write _ -> 3
+  | Open _ -> 4
+  | Creat _ -> 5
+  | Close _ -> 6
+  | Execve _ -> 7
+  | Time -> 8
+  | Getpid -> 9
+  | Dup _ -> 10
+  | Nanosleep _ -> 11
+  | Brk _ -> 12
+  | Socket -> 13
+  | Bind _ -> 14
+  | Connect _ -> 15
+  | Listen _ -> 16
+  | Accept _ -> 17
+  | Unknown _ -> Array.length names
+
 let name = function
-  | Exit _ -> "SYS_exit"
-  | Fork -> "SYS_clone"
-  | Read _ -> "SYS_read"
-  | Write _ -> "SYS_write"
-  | Open _ -> "SYS_open"
-  | Creat _ -> "SYS_creat"
-  | Close _ -> "SYS_close"
-  | Execve _ -> "SYS_execve"
-  | Time -> "SYS_time"
-  | Getpid -> "SYS_getpid"
-  | Dup _ -> "SYS_dup"
-  | Nanosleep _ -> "SYS_nanosleep"
-  | Brk _ -> "SYS_brk"
-  | Socket -> "SYS_socket"
-  | Bind _ -> "SYS_bind"
-  | Connect _ -> "SYS_connect"
-  | Listen _ -> "SYS_listen"
-  | Accept _ -> "SYS_accept"
   | Unknown { number } -> Fmt.str "SYS_%d" number
+  | sc -> names.(index sc)
 
 let pp_resource ppf = function
   | R_stdin -> Fmt.string ppf "stdin"

@@ -50,4 +50,11 @@ type t =
     as distinct events. *)
 val name : t -> string
 
+(** The names of every known syscall kind, in {!index} order. *)
+val names : string array
+
+(** [index sc] is the position of [name sc] in {!names}, so per-kind
+    tables can be arrays; [Unknown _] maps to [Array.length names]. *)
+val index : t -> int
+
 val pp : Format.formatter -> t -> unit

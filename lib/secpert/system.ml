@@ -30,6 +30,13 @@ type t = {
 
 let c_warnings = Obs.Counter.make "secpert.warnings"
 let c_dropped = Obs.Counter.make "secpert.warnings.dropped"
+
+(* [secpert.warnings.<severity>] handles, resolved once per severity. *)
+let c_severity =
+  let c sev = Obs.Counter.labeled "secpert.warnings" (Severity.label sev) in
+  let low = c Severity.Low and medium = c Severity.Medium
+  and high = c Severity.High in
+  function Severity.Low -> low | Medium -> medium | High -> high
 let c_wm_trip = Obs.Counter.make "secpert.wm_budget.tripped"
 
 let create_from ?(trust = Trust.default)
@@ -74,9 +81,7 @@ let create_from ?(trust = Trust.default)
             Obs.Counter.incr c_dropped
           end;
           Obs.Counter.incr c_warnings;
-          Obs.Counter.incr
-            (Obs.Counter.labeled "secpert.warnings"
-               (Severity.label w.Warning.severity));
+          Obs.Counter.incr (c_severity w.Warning.severity);
           if Obs.Trace.enabled () then begin
             let ev = w.Warning.evidence in
             Obs.Trace.emit "warning"

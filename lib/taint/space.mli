@@ -26,3 +26,10 @@ val interned : t -> int
     recycle spaces.  Tag sets interned before the reset stay valid for
     read-only use but must not be mixed with post-reset tags. *)
 val reset : t -> unit
+
+(** [settle sp] adds the work counted in [sp] since the last settle
+    ({!Tagset.counts}) to the [taint.*], [harrier.shadow.*] and
+    [harrier.degraded] Obs counters of the calling domain, and zeroes
+    the counts.  The session engine settles once per session, before it
+    reads an Obs snapshot. *)
+val settle : t -> unit

@@ -40,22 +40,30 @@ module Intern = Hashtbl.Make (Key)
 let memo_bits = 14
 let memo_mask = (1 lsl memo_bits) - 1
 
+type counts = {
+  mutable intern_hits : int;
+  mutable intern_misses : int;
+  mutable memo_hits : int;
+  mutable memo_misses : int;
+  mutable shadow_loads : int;
+  mutable shadow_stores : int;
+  mutable shadow_refused : int;
+  mutable shadow_degraded : int;
+  mutable shadow_pages_live : int;
+}
+
 type space = {
   intern_tbl : t Intern.t;
   mutable next_id : int;
   singleton_tbl : (Source.t, t) Hashtbl.t;
   memo_keys : int array;
   memo_vals : t array;
+  counts : counts;
 }
 
 (* The canonical empty node, shared by every space.  Immutable; id 0 is
    reserved for it (spaces allocate ids from 1). *)
 let empty = { id = 0; set = S.empty }
-
-let c_intern_hits = Obs.Counter.make "taint.intern.hits"
-let c_intern_misses = Obs.Counter.make "taint.intern.misses"
-let c_memo_hits = Obs.Counter.make "taint.union_memo.hits"
-let c_memo_misses = Obs.Counter.make "taint.union_memo.misses"
 
 let make_space () =
   let sp =
@@ -63,7 +71,11 @@ let make_space () =
       next_id = 1;
       singleton_tbl = Hashtbl.create 64;
       memo_keys = Array.make (1 lsl memo_bits) (-1);
-      memo_vals = Array.make (1 lsl memo_bits) empty }
+      memo_vals = Array.make (1 lsl memo_bits) empty;
+      counts =
+        { intern_hits = 0; intern_misses = 0; memo_hits = 0;
+          memo_misses = 0; shadow_loads = 0; shadow_stores = 0;
+          shadow_refused = 0; shadow_degraded = 0; shadow_pages_live = 0 } }
   in
   Intern.add sp.intern_tbl [] empty;
   sp
@@ -74,7 +86,8 @@ let make_space () =
    array (new unions overwrite slots as they miss).  A reset space is
    indistinguishable from [make_space ()] — same interning decisions,
    same cache counters — which lets an engine pool spaces across
-   sessions without perturbing per-run statistics. *)
+   sessions without perturbing per-run statistics.  Unsettled [counts]
+   are left alone: they record work already done. *)
 let reset_space sp =
   Intern.reset sp.intern_tbl;
   Hashtbl.reset sp.singleton_tbl;
@@ -89,16 +102,18 @@ let intern sp set =
   let key = S.elements set in
   match Intern.find_opt sp.intern_tbl key with
   | Some t ->
-    Obs.Counter.incr c_intern_hits;
+    sp.counts.intern_hits <- sp.counts.intern_hits + 1;
     t
   | None ->
-    Obs.Counter.incr c_intern_misses;
+    sp.counts.intern_misses <- sp.counts.intern_misses + 1;
     let t = { id = sp.next_id; set } in
     sp.next_id <- sp.next_id + 1;
     Intern.add sp.intern_tbl key t;
     t
 
 let interned_count sp = sp.next_id
+
+let counts sp = sp.counts
 
 let[@inline] is_empty t = t == empty
 
@@ -134,11 +149,11 @@ let union sp a b =
     (* low bits hold one id, bits 31+ the other; fold them together *)
     let h = (packed lxor (packed lsr 29)) land memo_mask in
     if sp.memo_keys.(h) = packed then begin
-      Obs.Counter.incr c_memo_hits;
+      sp.counts.memo_hits <- sp.counts.memo_hits + 1;
       sp.memo_vals.(h)
     end
     else begin
-      Obs.Counter.incr c_memo_misses;
+      sp.counts.memo_misses <- sp.counts.memo_misses + 1;
       let r = intern sp (S.union a.set b.set) in
       sp.memo_keys.(h) <- packed;
       sp.memo_vals.(h) <- r;

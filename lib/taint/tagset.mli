@@ -23,6 +23,27 @@ type space
 (** A fresh, empty space (the canonical {!empty} node is pre-seeded). *)
 val make_space : unit -> space
 
+(** Work counts accumulated in a space since it was last settled (see
+    {!Space.settle}): the arena's own intern and union-memo traffic,
+    plus the [harrier.shadow.*] accesses of every shadow memory built
+    over the space.  Plain fields, so counting costs one increment
+    rather than an {!Obs} domain-local lookup.  [shadow_pages_live] is
+    a gauge delta and may be negative. *)
+type counts = {
+  mutable intern_hits : int;
+  mutable intern_misses : int;
+  mutable memo_hits : int;
+  mutable memo_misses : int;
+  mutable shadow_loads : int;
+  mutable shadow_stores : int;
+  mutable shadow_refused : int;
+  mutable shadow_degraded : int;
+  mutable shadow_pages_live : int;
+}
+
+(** [counts sp] is [sp]'s (mutable) count record. *)
+val counts : space -> counts
+
 (** [reset_space sp] returns [sp] to the freshly-created state: interning
     decisions and cache counters after a reset are identical to those of
     a new space, so pools can recycle spaces without perturbing per-run

@@ -19,6 +19,14 @@ type t = {
   mutable status : status;
   mutable at_bb_start : bool;
   h : hooks;
+  mutable retired : int;  (* instructions retired by the last step *)
+  (* Owner-local counts, added to Obs by [settle]: a plain field
+     increment here replaces a domain-local lookup per instruction. *)
+  mutable n_insns : int;
+  mutable n_blocks : int;
+  mutable n_fetch_hits : int;
+  mutable n_fetch_misses : int;
+  mutable n_decoded : int;
 }
 
 and segment = {
@@ -100,14 +108,18 @@ let create ?hooks ?pool () =
   let h = match hooks with Some h -> h | None -> no_hooks () in
   { regs = Array.make Isa.Reg.count 0; eip = 0; zf = false; sf = false;
     lt = false; mem = fresh_mem pool; segs = []; cur_seg = no_seg;
-    status = Running; at_bb_start = true; h }
+    status = Running; at_bb_start = true; h; retired = 0; n_insns = 0;
+    n_blocks = 0; n_fetch_hits = 0; n_fetch_misses = 0; n_decoded = 0 }
 
 let hooks m = m.h
 
+(* The clone starts with no unsettled counts: those stay with [m]. *)
 let clone ?pool m =
   { regs = Array.copy m.regs; eip = m.eip; zf = m.zf; sf = m.sf; lt = m.lt;
     mem = copied_mem pool m.mem; segs = m.segs; cur_seg = m.cur_seg;
-    status = m.status; at_bb_start = m.at_bb_start; h = m.h }
+    status = m.status; at_bb_start = m.at_bb_start; h = m.h; retired = 0;
+    n_insns = 0; n_blocks = 0; n_fetch_hits = 0; n_fetch_misses = 0;
+    n_decoded = 0 }
 
 let status m = m.status
 let set_status m s = m.status <- s
@@ -117,6 +129,7 @@ let set_eip m a =
   m.eip <- a;
   m.at_bb_start <- true
 
+let regs m = m.regs
 let get_reg m r = m.regs.(Isa.Reg.index r)
 let set_reg m r v = m.regs.(Isa.Reg.index r) <- v land 0xFFFFFFFF
 
@@ -210,19 +223,29 @@ let segment_at m addr =
     (fun s -> addr >= s.seg_base && addr < s.seg_base + Array.length s.seg_insns)
     m.segs
 
-(* Observability: the per-instruction counters are single unboxed field
-   writes (see lib/obs), cheap enough for the step loop. *)
+(* Observability.  The step loop counts into the machine's own fields;
+   [settle] adds them to these counters at a quantum boundary.
+   [decoded] counts compiled-insn slots filled by [step_block];
+   [vm.blocks.promoted]/[deopt] belong to the tier policy in the
+   monitor. *)
 let c_instructions = Obs.Counter.make "vm.instructions"
 let c_blocks = Obs.Counter.make "vm.blocks"
 let c_fetch_hits = Obs.Counter.make "vm.fetch_cache.hits"
 let c_fetch_misses = Obs.Counter.make "vm.fetch_cache.misses"
-
-(* Tiering counters.  [decoded] counts compiled-insn slots filled here;
-   [promoted]/[deopt] are incremented by the tier policy in the monitor
-   (Obs counters are interned by name, so both layers share the cell). *)
 let c_decoded = Obs.Counter.make "vm.blocks.decoded"
-let _c_promoted = Obs.Counter.make "vm.blocks.promoted"
-let _c_deopt = Obs.Counter.make "vm.blocks.deopt"
+
+let settle m =
+  let flush c n = if n <> 0 then Obs.Counter.add c n in
+  flush c_instructions m.n_insns;
+  flush c_blocks m.n_blocks;
+  flush c_fetch_hits m.n_fetch_hits;
+  flush c_fetch_misses m.n_fetch_misses;
+  flush c_decoded m.n_decoded;
+  m.n_insns <- 0;
+  m.n_blocks <- 0;
+  m.n_fetch_hits <- 0;
+  m.n_fetch_misses <- 0;
+  m.n_decoded <- 0
 
 (* Allocation-free fetch: hit the cached segment or rescan; [no_seg]
    means no segment maps [addr]. *)
@@ -230,11 +253,11 @@ let seg_for m addr =
   let s = m.cur_seg in
   if addr - s.seg_base >= 0 && addr - s.seg_base < Array.length s.seg_insns
   then begin
-    Obs.Counter.incr c_fetch_hits;
+    m.n_fetch_hits <- m.n_fetch_hits + 1;
     s
   end
   else begin
-    Obs.Counter.incr c_fetch_misses;
+    m.n_fetch_misses <- m.n_fetch_misses + 1;
     match segment_at m addr with
     | Some s ->
       m.cur_seg <- s;
@@ -246,18 +269,23 @@ let fetch m addr =
   let s = seg_for m addr in
   if s == no_seg then None else Some s.seg_insns.(addr - s.seg_base)
 
+(* The operand helpers are top-level and called saturated, so the
+   per-instruction path builds no closures. *)
+let reg_or_zero m = function None -> 0 | Some reg -> get_reg m reg
+
 let eff_addr m (r : Isa.Operand.mem_ref) =
-  let v = function None -> 0 | Some reg -> get_reg m reg in
-  (r.disp + v r.base + (v r.index * r.scale)) land 0xFFFFFFFF
+  (r.disp + reg_or_zero m r.base + (reg_or_zero m r.index * r.scale))
+  land 0xFFFFFFFF
+
+let mask size v =
+  match size with
+  | Isa.Insn.B -> v land 0xFF
+  | Isa.Insn.W -> v land 0xFFFFFFFF
 
 let read_operand m size op =
-  let mask v = match size with
-    | Isa.Insn.B -> v land 0xFF
-    | Isa.Insn.W -> v land 0xFFFFFFFF
-  in
   match op with
-  | Isa.Operand.Imm n -> mask n
-  | Isa.Operand.Reg r -> mask (get_reg m r)
+  | Isa.Operand.Imm n -> mask size n
+  | Isa.Operand.Reg r -> mask size (get_reg m r)
   | Isa.Operand.Mem ref ->
     let addr = eff_addr m ref in
     (match size with
@@ -317,15 +345,17 @@ let pop m =
    the monitor tags the destination registers HARDWARE. *)
 let cpuid_values = (0x756E_6547, 0x4963_6E74, 0x6C65_746E, 0x0000_0F4A)
 
-(* Saturated top-level helper, so [exec] allocates no closures on the
+(* Saturated top-level helpers, so [exec] allocates no closures on the
    per-instruction path; the operator arguments below are static
    constant closures. *)
+let[@inline] next m = m.eip <- m.eip + 1
+
 let alu m f dst src =
   let a = read_operand m Isa.Insn.W dst and b = read_operand m Isa.Insn.W src in
   let r = f a b land 0xFFFFFFFF in
   set_flags m r;
   write_operand m Isa.Insn.W dst r;
-  m.eip <- m.eip + 1
+  next m
 
 let sdiv a b = sign32 a / sign32 b
 let shl a b = a lsl (b land 31)
@@ -333,17 +363,47 @@ let shr a b = a lsr (b land 31)
 let incr1 a _ = a + 1
 let decr1 a _ = a - 1
 
+let signed (sz : Isa.Insn.size) v = match sz with B -> v | W -> sign32 v
+
+let compare_ops m sz a b =
+  let x = signed sz (read_operand m sz a)
+  and y = signed sz (read_operand m sz b) in
+  m.zf <- x = y;
+  m.lt <- x < y;
+  m.sf <- m.lt;
+  next m
+
+let test_ops m a b =
+  set_flags m (read_operand m W a land read_operand m W b);
+  next m
+
+let push_op m a =
+  push m (read_operand m W a);
+  next m
+
+let pop_op m dst =
+  let v = pop m in
+  write_operand m W dst v;
+  next m
+
+let cpuid m =
+  let a, b, c, d = cpuid_values in
+  set_reg m EAX a;
+  set_reg m EBX b;
+  set_reg m ECX c;
+  set_reg m EDX d;
+  next m
+
 let exec m insn =
   let open Isa.Insn in
-  let next () = m.eip <- m.eip + 1 in
   match insn with
   | Mov (sz, dst, src) ->
     write_operand m sz dst (read_operand m sz src);
-    next ();
+    next m;
     Continue
   | Lea (r, ref) ->
     set_reg m r (eff_addr m ref);
-    next ();
+    next m;
     Continue
   | Add (d, s) -> alu m ( + ) d s; Continue
   | Sub (d, s) -> alu m ( - ) d s; Continue
@@ -360,36 +420,15 @@ let exec m insn =
   | Shr (d, s) -> alu m shr d s; Continue
   | Inc d -> alu m incr1 d (Imm 0); Continue
   | Dec d -> alu m decr1 d (Imm 0); Continue
-  | Cmp (sz, a, b) ->
-    let x = read_operand m sz a and y = read_operand m sz b in
-    let sx, sy =
-      match sz with
-      | B -> x, y
-      | W -> sign32 x, sign32 y
-    in
-    m.zf <- sx = sy;
-    m.lt <- sx < sy;
-    m.sf <- m.lt;
-    next ();
-    Continue
-  | Test (a, b) ->
-    set_flags m (read_operand m W a land read_operand m W b);
-    next ();
-    Continue
-  | Push a ->
-    push m (read_operand m W a);
-    next ();
-    Continue
-  | Pop dst ->
-    let v = pop m in
-    write_operand m W dst v;
-    next ();
-    Continue
+  | Cmp (sz, a, b) -> compare_ops m sz a b; Continue
+  | Test (a, b) -> test_ops m a b; Continue
+  | Push a -> push_op m a; Continue
+  | Pop dst -> pop_op m dst; Continue
   | Jmp t ->
     m.eip <- target_value m t;
     Continue
   | Jcc (c, t) ->
-    if cond_holds m c then m.eip <- target_value m t else next ();
+    if cond_holds m c then m.eip <- target_value m t else next m;
     Continue
   | Call t ->
     let dest = target_value m t in
@@ -400,19 +439,10 @@ let exec m insn =
     m.eip <- pop m;
     Continue
   | Int n ->
-    next ();
+    next m;
     Syscall n
-  | Cpuid ->
-    let a, b, c, d = cpuid_values in
-    set_reg m EAX a;
-    set_reg m EBX b;
-    set_reg m ECX c;
-    set_reg m EDX d;
-    next ();
-    Continue
-  | Nop ->
-    next ();
-    Continue
+  | Cpuid -> cpuid m; Continue
+  | Nop -> next m; Continue
   | Hlt ->
     m.status <- Halted;
     Stopped Halted
@@ -421,6 +451,7 @@ let exec m insn =
    single [seg_for] call stays with the caller so the fetch-cache
    counters count each fetch exactly once on every path. *)
 let step_in m seg =
+  m.retired <- 1;
   if seg == no_seg then begin
     m.status <- Faulted (Bad_fetch m.eip);
     Stopped m.status
@@ -428,9 +459,9 @@ let step_in m seg =
   else begin
     let insn = seg.seg_insns.(m.eip - seg.seg_base) in
     try
-      Obs.Counter.incr c_instructions;
+      m.n_insns <- m.n_insns + 1;
       if m.at_bb_start then begin
-        Obs.Counter.incr c_blocks;
+        m.n_blocks <- m.n_blocks + 1;
         m.h.on_bb m m.eip
       end;
       m.h.pre_insn m m.eip insn;
@@ -441,9 +472,13 @@ let step_in m seg =
       Stopped m.status
   end
 
+let stopped m s =
+  m.retired <- 0;
+  Stopped s
+
 let step m =
   match m.status with
-  | (Halted | Faulted _) as s -> Stopped s
+  | (Halted | Faulted _) as s -> stopped m s
   | Running -> step_in m (seg_for m m.eip)
 
 (* Compile one body-safe instruction to a closure replicating [exec]'s
@@ -456,11 +491,11 @@ let compile_insn insn =
   | Mov (sz, dst, src) ->
     fun m ->
       write_operand m sz dst (read_operand m sz src);
-      m.eip <- m.eip + 1
+      next m
   | Lea (r, ref) ->
     fun m ->
       set_reg m r (eff_addr m ref);
-      m.eip <- m.eip + 1
+      next m
   | Add (d, s) -> fun m -> alu m ( + ) d s
   | Sub (d, s) -> fun m -> alu m ( - ) d s
   | And (d, s) -> fun m -> alu m ( land ) d s
@@ -471,98 +506,75 @@ let compile_insn insn =
   | Shr (d, s) -> fun m -> alu m shr d s
   | Inc d -> fun m -> alu m incr1 d (Imm 0)
   | Dec d -> fun m -> alu m decr1 d (Imm 0)
-  | Cmp (sz, a, b) ->
-    fun m ->
-      let x = read_operand m sz a and y = read_operand m sz b in
-      let sx, sy =
-        match sz with
-        | B -> x, y
-        | W -> sign32 x, sign32 y
-      in
-      m.zf <- sx = sy;
-      m.lt <- sx < sy;
-      m.sf <- m.lt;
-      m.eip <- m.eip + 1
-  | Test (a, b) ->
-    fun m ->
-      set_flags m (read_operand m W a land read_operand m W b);
-      m.eip <- m.eip + 1
-  | Push a ->
-    fun m ->
-      push m (read_operand m W a);
-      m.eip <- m.eip + 1
-  | Pop dst ->
-    fun m ->
-      let v = pop m in
-      write_operand m W dst v;
-      m.eip <- m.eip + 1
-  | Cpuid ->
-    fun m ->
-      let a, b, c, d = cpuid_values in
-      set_reg m EAX a;
-      set_reg m EBX b;
-      set_reg m ECX c;
-      set_reg m EDX d;
-      m.eip <- m.eip + 1
-  | Nop -> fun m -> m.eip <- m.eip + 1
+  | Cmp (sz, a, b) -> fun m -> compare_ops m sz a b
+  | Test (a, b) -> fun m -> test_ops m a b
+  | Push a -> fun m -> push_op m a
+  | Pop dst -> fun m -> pop_op m dst
+  | Cpuid -> cpuid
+  | Nop -> next
   | Div _ | Jmp _ | Jcc _ | Call _ | Ret | Int _ | Hlt ->
     invalid_arg "Machine.compile_insn: not body-safe"
+
+(* Run instructions [i, len) of the compiled body at [off] in [seg],
+   filling empty op slots on first use.  A mid-block fault rolls the
+   hoisted instruction and fetch counts back so they match
+   interpretation exactly. *)
+let rec run_body m seg off len i =
+  if i >= len then Continue
+  else begin
+    let op =
+      match Array.unsafe_get seg.seg_ops (off + i) with
+      | Some f -> f
+      | None ->
+        m.n_decoded <- m.n_decoded + 1;
+        let f = compile_insn seg.seg_insns.(off + i) in
+        seg.seg_ops.(off + i) <- Some f;
+        f
+    in
+    match op m with
+    | () -> run_body m seg off len (i + 1)
+    | exception Fault_exn f ->
+      m.status <- Faulted f;
+      m.retired <- i + 1;
+      m.n_insns <- m.n_insns + (i + 1 - len);
+      m.n_fetch_hits <- m.n_fetch_hits + (i - (len - 1));
+      Stopped m.status
+  end
 
 (* Tiered dispatch: at a basic-block start whose straight-line body fits
    the remaining [fuel], offer the block to the [on_block] hook.  If it
    accepts (the tier policy has promoted the block and applied — or
    deliberately skipped — its taint summary), the body runs as compiled
    closures with no per-instruction hook calls; the terminator and every
-   other case take the interpreted [step] path unchanged.  Returns the
-   outcome plus the number of instructions retired (for quantum
-   accounting). *)
+   other case take the interpreted [step] path unchanged.  The number of
+   instructions retired (for quantum accounting) is left in
+   [m.retired]. *)
 let step_block m ~fuel =
   match m.status with
-  | (Halted | Faulted _) as s -> (Stopped s, 0)
+  | (Halted | Faulted _) as s -> stopped m s
   | Running ->
     let seg = seg_for m m.eip in
-    if not m.at_bb_start || seg == no_seg then (step_in m seg, 1)
+    if not m.at_bb_start || seg == no_seg then step_in m seg
     else begin
       let off = m.eip - seg.seg_base in
       let len = seg.seg_lens.(off) in
       if len = 0 || len > fuel || not (m.h.on_block m seg m.eip len) then
-        (step_in m seg, 1)
+        step_in m seg
       else begin
-        Obs.Counter.incr c_blocks;
+        m.n_blocks <- m.n_blocks + 1;
         m.h.on_bb m m.eip;
         m.at_bb_start <- false;
-        let ops = seg.seg_ops in
-        (* per-insn accounting is hoisted to one [add] per kind (the
+        (* per-insn accounting is hoisted to one add per kind (the
            first fetch was counted by [seg_for]; the rest of the body
-           would all hit the one-entry cache); a mid-block fault rolls
-           the difference back so the counts match interpretation
-           exactly *)
-        Obs.Counter.add c_instructions len;
-        Obs.Counter.add c_fetch_hits (len - 1);
-        let rec run i =
-          if i >= len then (Continue, len)
-          else begin
-            let op =
-              match ops.(off + i) with
-              | Some f -> f
-              | None ->
-                Obs.Counter.incr c_decoded;
-                let f = compile_insn seg.seg_insns.(off + i) in
-                ops.(off + i) <- Some f;
-                f
-            in
-            match op m with
-            | () -> run (i + 1)
-            | exception Fault_exn f ->
-              m.status <- Faulted f;
-              Obs.Counter.add c_instructions (i + 1 - len);
-              Obs.Counter.add c_fetch_hits (i - (len - 1));
-              (Stopped m.status, i + 1)
-          end
-        in
-        run 0
+           would all hit the one-entry cache) *)
+        m.retired <- len;
+        m.n_insns <- m.n_insns + len;
+        m.n_fetch_hits <- m.n_fetch_hits + (len - 1);
+        run_body m seg off len 0
       end
     end
+
+let retired m = m.retired
 
 let pp_fault ppf = function
   | Bad_fetch a -> Fmt.pf ppf "bad fetch at 0x%x" a

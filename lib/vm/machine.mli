@@ -98,6 +98,10 @@ val set_eip : t -> int -> unit
 
 val get_reg : t -> Isa.Reg.t -> int
 
+(** [regs m] is [m]'s live register file, indexed by {!Isa.Reg.index}:
+    read-only access for the taint summaries' per-block loop. *)
+val regs : t -> int array
+
 val set_reg : t -> Isa.Reg.t -> int -> unit
 
 (** {2 Memory} *)
@@ -158,10 +162,29 @@ val step : t -> outcome
     body is offered to the [on_block] hook and — if accepted — runs as
     compiled closures (one fused unit, no per-instruction hooks); in
     every other case exactly one instruction is interpreted via
-    {!step}.  Returns the outcome and the number of instructions
-    retired, for quantum accounting.  Equivalent to [fuel] iterated
-    {!step}s up to the accepted per-block instrumentation. *)
-val step_block : t -> fuel:int -> outcome * int
+    {!step}.  Equivalent to [fuel] iterated {!step}s up to the accepted
+    per-block instrumentation.  Allocates nothing on the steady-state
+    path: the retired count is read back with {!retired}. *)
+val step_block : t -> fuel:int -> outcome
+
+(** [retired m] is the number of instructions the last {!step} or
+    {!step_block} retired, for quantum accounting: the body length for
+    a compiled body (up to and including the faulting instruction on a
+    mid-body fault), 1 for an interpreted step, 0 on an already-stopped
+    machine. *)
+val retired : t -> int
+
+(** {2 Counters}
+
+    The step loop counts [vm.instructions], [vm.blocks],
+    [vm.fetch_cache.hits]/[misses] and [vm.blocks.decoded] into fields
+    of the machine rather than into {!Obs}, whose [Counter.incr] costs
+    a domain-local lookup.  [settle m] adds the counts accumulated since
+    the last settle to the Obs counters and zeroes them.  The scheduler
+    settles at every quantum boundary, so Obs totals are exact whenever
+    no quantum is in flight.  A {!clone} starts with nothing
+    unsettled. *)
+val settle : t -> unit
 
 val pp_fault : Format.formatter -> fault -> unit
 

@@ -34,6 +34,8 @@ let () =
       "supervise", Test_supervise.suite;
       "dormant", Test_dormant.suite;
       "store", Test_store.suite;
+      "counters", Test_counters.suite;
+      "alloc", Test_alloc.suite;
       "table1",
       [ Alcotest.test_case "smoke" `Quick
           (run_group Guest.Characterize.scenarios) ];
