@@ -7,6 +7,7 @@
      hth_trace query trace.jsonl --ev flow    filter the event stream
      hth_trace diff a.jsonl b.jsonl           first-divergence step
      hth_trace profile trace.jsonl            hot blocks / syscall mix
+     hth_trace replay trace.jsonl             re-judge the events offline
      hth_trace fleet ls --store DIR           the manifest, one row per run
      hth_trace fleet query --store DIR ...    cross-run search by index
      hth_trace fleet profile --store DIR      fleet-wide hot blocks
@@ -233,6 +234,44 @@ let profile_cmd =
     Term.(const run $ store_opt_arg $ trace_arg $ top_arg)
 
 (* ------------------------------------------------------------------ *)
+(* replay                                                              *)
+
+let replay_cmd =
+  let doc =
+    "Re-judge a recorded session offline: decode the trace's flow lines \
+     back into Harrier events and push them through a fresh Secpert \
+     (default trust and thresholds), printing the event and warning \
+     counts and the distinct warnings.  Under the policy the session \
+     ran with, the warnings are the live run's."
+  in
+  let clips_flag =
+    Arg.(
+      value & flag
+      & info [ "clips-policy" ]
+          ~doc:"Judge with the textual CLIPS policy instead of the native \
+                rules.")
+  in
+  let run store path clips =
+    let trace = load ~store path in
+    match Forensics.Reader.events trace with
+    | Error e ->
+      Fmt.epr "hth_trace: %s: %a@." path Forensics.Reader.pp_decode_error e;
+      exit 2
+    | Ok events ->
+      let policy =
+        if clips then Secpert.System.Clips else Secpert.System.Native
+      in
+      let warnings = Secpert.System.replay ~policy events in
+      Fmt.pr "%d events, %d warnings@." (List.length events)
+        (List.length warnings);
+      List.iter
+        (fun w -> Fmt.pr "%s@." (Secpert.Warning.to_string w))
+        (Secpert.Warning.dedup warnings)
+  in
+  Cmd.v (Cmd.info "replay" ~doc)
+    Term.(const run $ store_opt_arg $ trace_arg $ clips_flag)
+
+(* ------------------------------------------------------------------ *)
 (* fleet: cross-run queries over a warehouse                           *)
 
 let store_req_arg =
@@ -414,4 +453,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ explain_cmd; query_cmd; diff_cmd; profile_cmd; fleet_cmd ]))
+          [ explain_cmd; query_cmd; diff_cmd; profile_cmd; replay_cmd;
+            fleet_cmd ]))

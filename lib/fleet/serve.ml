@@ -63,45 +63,6 @@ let c_overloaded = Obs.Counter.make "serve.overloaded"
 let h_latency = Obs.Histogram.make "serve.latency.ms"
 
 (* ------------------------------------------------------------------ *)
-(* flat-JSON response rendering (mirrors the escapes Jsonl accepts)    *)
-
-type field = I of int | S of string | B of bool
-
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let render fields =
-  let b = Buffer.create 128 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      add_escaped b k;
-      Buffer.add_string b "\":";
-      match v with
-      | I n -> Buffer.add_string b (string_of_int n)
-      | B bo -> Buffer.add_string b (if bo then "true" else "false")
-      | S s ->
-        Buffer.add_char b '"';
-        add_escaped b s;
-        Buffer.add_char b '"')
-    fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
 (* request parsing                                                     *)
 
 type request = {
@@ -338,7 +299,8 @@ let take_meta svc eseq =
 (* ------------------------------------------------------------------ *)
 (* response rendering                                                  *)
 
-let opt_id id rest = match id with None -> rest | Some i -> ("id", S i) :: rest
+let opt_id id rest =
+  match id with None -> rest | Some i -> ("id", Obs.Str i) :: rest
 
 let ok_line seq (req : request) (r : Hth.Engine.result) =
   let v = Hth.Report.verdict r in
@@ -346,61 +308,63 @@ let ok_line seq (req : request) (r : Hth.Engine.result) =
   let findings =
     String.concat "\n" (List.map Secpert.Warning.to_string distinct)
   in
-  render
-    (("seq", I seq)
+  Obs.render
+    (("seq", Obs.Int seq)
      :: opt_id req.r_id
-          [ "scenario", S req.r_scenario;
-            "status", S "ok";
-            "verdict", S (Hth.Report.verdict_label v);
-            "expected", S req.r_expected;
-            "match", B (req.r_matches v);
-            "warnings", I (List.length r.warnings);
-            "distinct", I (List.length distinct);
-            "events", I r.event_count;
-            "degraded", B (r.degraded <> []);
-            "findings", S findings ])
+          [ "scenario", Obs.Str req.r_scenario;
+            "status", Obs.Str "ok";
+            "verdict", Obs.Str (Hth.Report.verdict_label v);
+            "expected", Obs.Str req.r_expected;
+            "match", Obs.Bool (req.r_matches v);
+            "warnings", Obs.Int (List.length r.warnings);
+            "distinct", Obs.Int (List.length distinct);
+            "events", Obs.Int r.event_count;
+            "degraded", Obs.Bool (r.degraded <> []);
+            "findings", Obs.Str findings ])
 
 let error_line seq (req : request) e =
-  render
-    (("seq", I seq)
+  Obs.render
+    (("seq", Obs.Int seq)
      :: opt_id req.r_id
-          [ "scenario", S req.r_scenario;
-            "status", S "error";
-            "kind", S (Hth.Error.kind e);
-            "error", S (Hth.Error.to_string e) ])
+          [ "scenario", Obs.Str req.r_scenario;
+            "status", Obs.Str "error";
+            "kind", Obs.Str (Hth.Error.kind e);
+            "error", Obs.Str (Hth.Error.to_string e) ])
 
 let bad_line seq msg =
-  render [ "seq", I seq; "status", S "bad_request"; "error", S msg ]
+  Obs.render
+    [ "seq", Obs.Int seq; "status", Obs.Str "bad_request";
+      "error", Obs.Str msg ]
 
 let overloaded_line seq (req : request) =
-  render
-    (("seq", I seq)
+  Obs.render
+    (("seq", Obs.Int seq)
      :: opt_id req.r_id
-          [ "scenario", S req.r_scenario;
-            "status", S "overloaded";
-            "retry", B true ])
+          [ "scenario", Obs.Str req.r_scenario;
+            "status", Obs.Str "overloaded";
+            "retry", Obs.Bool true ])
 
 let draining_line seq (req : request) =
-  render
-    (("seq", I seq)
+  Obs.render
+    (("seq", Obs.Int seq)
      :: opt_id req.r_id
-          [ "scenario", S req.r_scenario;
-            "status", S "shutting_down";
-            "retry", B false ])
+          [ "scenario", Obs.Str req.r_scenario;
+            "status", Obs.Str "shutting_down";
+            "retry", Obs.Bool false ])
 
 let health_line svc seq id =
   let h = Supervisor.health svc.sv_sup in
-  render
-    (("seq", I seq)
+  Obs.render
+    (("seq", Obs.Int seq)
      :: opt_id id
-          [ "status", S "health";
-            "jobs", I h.Supervisor.h_jobs;
-            "inflight", I h.Supervisor.h_inflight;
-            "draining", B h.Supervisor.h_draining;
-            "timeouts", I h.Supervisor.h_timeouts;
-            "respawns", I h.Supervisor.h_respawns;
-            "executed", I h.Supervisor.h_stats.Pool.executed;
-            "stolen", I h.Supervisor.h_stats.Pool.stolen ])
+          [ "status", Obs.Str "health";
+            "jobs", Obs.Int h.Supervisor.h_jobs;
+            "inflight", Obs.Int h.Supervisor.h_inflight;
+            "draining", Obs.Bool h.Supervisor.h_draining;
+            "timeouts", Obs.Int h.Supervisor.h_timeouts;
+            "respawns", Obs.Int h.Supervisor.h_respawns;
+            "executed", Obs.Int h.Supervisor.h_stats.Pool.executed;
+            "stolen", Obs.Int h.Supervisor.h_stats.Pool.stolen ])
 
 let stats_line svc seq id =
   Mutex.lock svc.sv_obs_mu;
@@ -412,23 +376,24 @@ let stats_line svc seq id =
   let us p = int_of_float (Obs.Histogram.percentile h_latency p *. 1000.) in
   let p50 = us 50. and p95 = us 95. and p99 = us 99. in
   Mutex.unlock svc.sv_obs_mu;
-  render
-    (("seq", I seq)
+  Obs.render
+    (("seq", Obs.Int seq)
      :: opt_id id
-          [ "status", S "stats";
-            "requests", I requests;
-            "overloaded", I overloaded;
-            "latency_count", I n;
-            "latency_p50_us", I p50;
-            "latency_p95_us", I p95;
-            "latency_p99_us", I p99 ])
+          [ "status", Obs.Str "stats";
+            "requests", Obs.Int requests;
+            "overloaded", Obs.Int overloaded;
+            "latency_count", Obs.Int n;
+            "latency_p50_us", Obs.Int p50;
+            "latency_p95_us", Obs.Int p95;
+            "latency_p99_us", Obs.Int p99 ])
 
 let store_stats_line svc seq id =
   match svc.sv_store with
   | None ->
-    render
-      (("seq", I seq)
-       :: opt_id id [ "status", S "store_stats"; "enabled", B false ])
+    Obs.render
+      (("seq", Obs.Int seq)
+       :: opt_id id
+            [ "status", Obs.Str "store_stats"; "enabled", Obs.Bool false ])
   | Some wh ->
     Mutex.lock svc.sv_obs_mu;
     let total = Store.Warehouse.total wh in
@@ -436,16 +401,16 @@ let store_stats_line svc seq id =
     let raw = Store.Warehouse.raw_bytes wh in
     let framed = Store.Warehouse.framed_bytes wh in
     Mutex.unlock svc.sv_obs_mu;
-    render
-      (("seq", I seq)
+    Obs.render
+      (("seq", Obs.Int seq)
        :: opt_id id
-            [ "status", S "store_stats";
-              "enabled", B true;
-              "dir", S (Store.Warehouse.dir wh);
-              "runs", I total;
-              "appended", I appended;
-              "raw_bytes", I raw;
-              "framed_bytes", I framed ])
+            [ "status", Obs.Str "store_stats";
+              "enabled", Obs.Bool true;
+              "dir", Obs.Str (Store.Warehouse.dir wh);
+              "runs", Obs.Int total;
+              "appended", Obs.Int appended;
+              "raw_bytes", Obs.Int raw;
+              "framed_bytes", Obs.Int framed ])
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
@@ -461,14 +426,16 @@ let store_query_line svc seq (id, kind, limit) =
                   | Q_diff _ -> "diff"
   in
   let base rest =
-    ("seq", I seq)
-    :: opt_id id (("status", S "store_query") :: ("kind", S kind_label) :: rest)
+    ("seq", Obs.Int seq)
+    :: opt_id id
+         (("status", Obs.Str "store_query")
+          :: ("kind", Obs.Str kind_label) :: rest)
   in
   let err e =
-    base [ "enabled", B true; "error", S (Hth.Error.to_string e) ]
+    base [ "enabled", Obs.Bool true; "error", Obs.Str (Hth.Error.to_string e) ]
   in
   match svc.sv_store with
-  | None -> render (base [ "enabled", B false ])
+  | None -> Obs.render (base [ "enabled", Obs.Bool false ])
   | Some wh ->
     (* snapshot the manifest under the append lock so a response never
        observes a half-appended entry *)
@@ -498,9 +465,9 @@ let store_query_line svc seq (id, kind, limit) =
                   (take limit hits)
               in
               base
-                [ "enabled", B true;
-                  "runs", I (List.length hits);
-                  "hits", S (String.concat "\n" rows) ])
+                [ "enabled", Obs.Bool true;
+                  "runs", Obs.Int (List.length hits);
+                  "hits", Obs.Str (String.concat "\n" rows) ])
          | Q_profile ->
            (match Store.Fleet_query.profile view with
             | Error e -> err e
@@ -513,9 +480,9 @@ let store_query_line svc seq (id, kind, limit) =
                   (take limit blocks)
               in
               base
-                [ "enabled", B true;
-                  "blocks", I (List.length blocks);
-                  "profile", S (String.concat "\n" rows) ])
+                [ "enabled", Obs.Bool true;
+                  "blocks", Obs.Int (List.length blocks);
+                  "profile", Obs.Str (String.concat "\n" rows) ])
          | Q_diff run ->
            (match Store.Fleet_query.diff view ~run with
             | Error e -> err e
@@ -528,12 +495,12 @@ let store_query_line svc seq (id, kind, limit) =
                   (take limit drifts)
               in
               base
-                [ "enabled", B true;
-                  "drifts", I (List.length drifts);
-                  "compared", I compared;
-                  "diff", S (String.concat "\n" rows) ]))
+                [ "enabled", Obs.Bool true;
+                  "drifts", Obs.Int (List.length drifts);
+                  "compared", Obs.Int compared;
+                  "diff", Obs.Str (String.concat "\n" rows) ]))
     in
-    render fields
+    Obs.render fields
 
 (* ------------------------------------------------------------------ *)
 (* collector: routes global-order outcomes to per-connection emitters  *)

@@ -4,7 +4,7 @@
    booleans (exactly the Obs.value type).  The parser accepts only
    that shape and reports anything else as an error. *)
 
-type value = Int of int | Str of string | Bool of bool
+type value = Obs.value = Int of int | Str of string | Bool of bool
 
 exception Parse_error of string
 
@@ -114,6 +114,15 @@ let parse_value c =
   | Some 'f' -> parse_literal c "false" (Bool false)
   | Some ch -> error "unsupported value starting with %C at byte %d" ch c.pos
   | None -> error "expected a value, got end of input"
+
+let int_field fields k =
+  match List.assoc_opt k fields with Some (Int n) -> Some n | _ -> None
+
+let str_field fields k =
+  match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None
+
+let bool_field fields k =
+  match List.assoc_opt k fields with Some (Bool b) -> Some b | _ -> None
 
 let parse_line line =
   let c = { s = line; pos = 0 } in

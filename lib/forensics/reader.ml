@@ -11,35 +11,16 @@ type t = {
   by_step : (int, entry) Hashtbl.t;
 }
 
-let int_field e name =
-  match List.assoc_opt name e.fields with
-  | Some (Jsonl.Int n) -> Some n
-  | Some _ | None -> None
-
-let str_field e name =
-  match List.assoc_opt name e.fields with
-  | Some (Jsonl.Str s) -> Some s
-  | Some _ | None -> None
-
-let bool_field e name =
-  match List.assoc_opt name e.fields with
-  | Some (Jsonl.Bool b) -> Some b
-  | Some _ | None -> None
+let int_field e = Jsonl.int_field e.fields
+let str_field e = Jsonl.str_field e.fields
+let bool_field e = Jsonl.bool_field e.fields
 
 let entry_of_line ~line raw =
   match Jsonl.parse_line raw with
   | Error m -> Error (Fmt.str "line %d: %s" line m)
   | Ok fields ->
-    let step =
-      match List.assoc_opt "step" fields with
-      | Some (Jsonl.Int n) -> n
-      | Some _ | None -> -1
-    in
-    let ev =
-      match List.assoc_opt "ev" fields with
-      | Some (Jsonl.Str s) -> s
-      | Some _ | None -> ""
-    in
+    let step = Option.value ~default:(-1) (Jsonl.int_field fields "step") in
+    let ev = Option.value ~default:"" (Jsonl.str_field fields "ev") in
     if step < 0 then Error (Fmt.str "line %d: missing step index" line)
     else if ev = "" then Error (Fmt.str "line %d: missing ev kind" line)
     else Ok { step; ev; fields; line; raw }
@@ -87,3 +68,21 @@ let first_naming t name =
   List.find_opt
     (fun e -> e.ev = "flow" && names_resource e name)
     t.entries
+
+type decode_error = { de_step : int; de_line : int; de_reason : string }
+
+let pp_decode_error ppf e =
+  Fmt.pf ppf "line %d: flow step %d: %s" e.de_line e.de_step e.de_reason
+
+let events t =
+  let sp = Taint.Space.create () in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | e :: rest when e.ev <> "flow" -> go acc rest
+    | e :: rest ->
+      (match Harrier.Events.of_fields sp e.fields with
+       | Ok ev -> go (ev :: acc) rest
+       | Error de_reason ->
+         Error { de_step = e.step; de_line = e.line; de_reason })
+  in
+  go [] t.entries

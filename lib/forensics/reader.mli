@@ -39,3 +39,19 @@ val names_resource : entry -> string -> bool
 val first_naming : t -> string -> entry option
 (** The earliest ["flow"] entry naming the resource — the first time
     the monitored program touched it. *)
+
+(** A ["flow"] entry that does not decode to an event. *)
+type decode_error = {
+  de_step : int;  (** the entry's step index *)
+  de_line : int;  (** its 1-based line number *)
+  de_reason : string;  (** the missing or malformed field *)
+}
+
+val pp_decode_error : Format.formatter -> decode_error -> unit
+
+val events : t -> (Harrier.Events.t list, decode_error) result
+(** The recorded event stream: every ["flow"] entry decoded with
+    {!Harrier.Events.of_fields}, in step order, tag sets interned in a
+    fresh space private to the result.  The first entry that does not
+    decode (a missing field, a bad tag-set encoding, a trace written
+    before flow lines were lossless) is an [Error]. *)

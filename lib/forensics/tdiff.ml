@@ -12,10 +12,7 @@ type t = {
 let step_of_line raw =
   match Jsonl.parse_line raw with
   | Error _ -> None
-  | Ok fields ->
-    (match List.assoc_opt "step" fields with
-     | Some (Jsonl.Int n) -> Some n
-     | Some _ | None -> None)
+  | Ok fields -> Jsonl.int_field fields "step"
 
 let of_divergence (d : Hth.Golden.divergence) =
   let step =

@@ -68,3 +68,41 @@ val meta_of : t -> meta
 val pp_resource : Format.formatter -> resource -> unit
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 The ["flow"] trace line}
+
+    Every event is written to the trace as one ["flow"] line, and that
+    line decodes back to the same event: the JSONL trace is the one
+    serialized form of the event stream, and offline replay reads it.
+
+    Fields, after the line's own [step] and [ev]:
+    - all shapes: [kind] (exec / clone / access / alloc / transfer),
+      [pid], [tick], [freq], [addr];
+    - exec: [call], [res_kind], [res_name], [origin], and [argv] unless
+      it is empty;
+    - access: [call], [res_kind], [res_name], [origin];
+    - clone: [total], [recent], [window];
+    - alloc: [requested], [total];
+    - transfer: [call], [target_kind], [target_name], [target_origin],
+      [data], [len], [sources], [guard], [head], and [server_kind],
+      [server_name], [server_origin] for accepted connections.
+
+    Tag sets ([origin], [target_origin], [data], [server_origin]) are
+    text: a source is its type label ([USER_INPUT], [HARDWARE]) or
+    label, [:] and name ([FILE:/etc/passwd]); a set joins its sources
+    in canonical order with [,] (the empty set is [""]).  [sources] and
+    [guard] join [SOURCE<-SET] entries with [;]; [argv] joins its
+    elements with [,].  Inside names, argv elements and [head] the
+    bytes [%], [,], [;], [<] and 0x7F-0xFF are written [%XX] (hex), so
+    every raw separator is structure and flow lines stay 7-bit; control
+    bytes are left to the JSON string escapes. *)
+
+val to_fields : t -> (string * Obs.value) list
+(** The fields of [e]'s flow line, without [step] (the trace stamps
+    it). *)
+
+val of_fields :
+  Taint.Tagset.space -> (string * Obs.value) list -> (t, string) result
+(** [of_fields sp fields] decodes a parsed flow line — its [step]
+    field included, which becomes [meta.step] — interning tag sets in
+    [sp].  [Error] names the missing or malformed field. *)

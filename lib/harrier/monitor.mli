@@ -66,8 +66,8 @@ val subscribe : t -> name:string -> sink -> unit
 (** Registered sink names, in dispatch order. *)
 val subscribers : t -> string list
 
-(** Emits one structured "flow" trace line per event (no-op when
-    tracing is off).  Register first; see {!subscribe}. *)
+(** Emits one "flow" trace line per event, {!Events.to_fields} (no-op
+    when tracing is off).  Register first; see {!subscribe}. *)
 val trace_sink : sink
 
 (** Counts events into [harrier.events] and [harrier.events.<kind>]. *)

@@ -31,6 +31,49 @@
 
 type value = Int of int | Str of string | Bool of bool
 
+(* The flat-JSON dialect every HTH writer shares (trace lines, segment
+   indexes, manifests, serve responses) and [Forensics.Jsonl] reads:
+   quote, backslash and control bytes escaped, every other byte
+   verbatim, so any byte string survives a round trip. *)
+let add_escaped buf s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s
+
+let add_value buf = function
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Str s ->
+    Buffer.add_char buf '"';
+    add_escaped buf s;
+    Buffer.add_char buf '"'
+
+let add_member buf (k, v) =
+  Buffer.add_char buf '"';
+  add_escaped buf k;
+  Buffer.add_string buf "\":";
+  add_value buf v
+
+let render fields =
+  let buf = Buffer.create 128 in
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i kv ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_member buf kv)
+    fields;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
 (* Registration lock: guards the name->handle registries and slot
    allocation for counters and histograms.  Never taken by [incr],
    [add], [observe] or [Trace.emit]. *)
@@ -461,28 +504,6 @@ module Trace = struct
 
   let steps () = (state ()).step
 
-  let add_escaped buf s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
-
-  let add_value buf = function
-    | Int n -> Buffer.add_string buf (string_of_int n)
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Str s ->
-      Buffer.add_char buf '"';
-      add_escaped buf s;
-      Buffer.add_char buf '"'
-
   (* Render one line, newline included, directly into [buf] — the
      destination itself for [Direct] sinks, the reused staging buffer
      for [Chunked] ones.  No per-line [Buffer.create], no intermediate
@@ -494,11 +515,9 @@ module Trace = struct
     add_escaped buf ev;
     Buffer.add_char buf '"';
     List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf ",\"";
-        add_escaped buf k;
-        Buffer.add_string buf "\":";
-        add_value buf v)
+      (fun kv ->
+        Buffer.add_char buf ',';
+        add_member buf kv)
       fields;
     Buffer.add_char buf '}';
     Buffer.add_char buf '\n';

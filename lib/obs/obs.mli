@@ -25,6 +25,22 @@
 (** A structured field value for trace events. *)
 type value = Int of int | Str of string | Bool of bool
 
+(** {2 The flat-JSON dialect}
+
+    Trace lines, segment indexes, warehouse manifests and serve
+    responses are all one-level JSON objects over {!value}, written by
+    the two functions below and read back by [Forensics.Jsonl]. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped buf s] appends [s] as the body of a JSON string
+    literal: quote, backslash and control bytes (< 0x20) are escaped,
+    every other byte is copied verbatim, so any byte string round-trips
+    through the reader. *)
+
+val render : (string * value) list -> string
+(** [render fields] is the object [{"k":v,...}] in field order, with
+    no trailing newline. *)
+
 (** Monotone named counters, registered globally by name.  [make] on an
     existing name returns the same counter, so modules can declare
     counters at top level without coordination. *)

@@ -82,24 +82,8 @@ let create_from ?(trust = Trust.default)
           end;
           Obs.Counter.incr c_warnings;
           Obs.Counter.incr (c_severity w.Warning.severity);
-          if Obs.Trace.enabled () then begin
-            let ev = w.Warning.evidence in
-            Obs.Trace.emit "warning"
-              ([ "severity", Obs.Str (Severity.label w.Warning.severity);
-                 "rule", Obs.Str w.Warning.rule;
-                 "pid", Obs.Int w.Warning.pid;
-                 "tick", Obs.Int w.Warning.time;
-                 "rare", Obs.Bool w.Warning.rare ]
-               @ (if ev.Evidence.facts = [] then []
-                  else
-                    [ "ev_facts",
-                      Obs.Str (Evidence.facts_to_string ev) ])
-               @ (if ev.Evidence.origins = [] then []
-                  else
-                    [ "ev_origins",
-                      Obs.Str (Evidence.origins_to_string ev) ])
-               @ [ "message", Obs.Str w.Warning.message ])
-          end) }
+          if Obs.Trace.enabled () then
+            Obs.Trace.emit "warning" (Warning.to_fields w)) }
   in
   (match compiled.c_policy with
    | Native ->
@@ -143,6 +127,11 @@ let attach t monitor =
   Harrier.Monitor.subscribe monitor ~name:"secpert" (handle_event t)
 
 let warnings t = List.rev t.warnings
+
+let replay ?trust ?thresholds ?policy events =
+  let t = create ?trust ?thresholds ?policy () in
+  List.iter (fun e -> ignore (handle_event t e)) events;
+  warnings t
 
 let distinct_warnings t = Warning.dedup (warnings t)
 

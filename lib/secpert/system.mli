@@ -64,6 +64,17 @@ val engine : t -> Expert.Engine.t
     the triggering system call may proceed. *)
 val handle_event : t -> Harrier.Events.t -> Osim.Kernel.decision
 
+(** [replay ?trust ?thresholds ?policy events] pushes recorded events
+    through a fresh instance and returns its warnings, oldest first —
+    offline re-judging of a stored session (Section 10), identical to
+    the live run's warnings when the configuration matches. *)
+val replay :
+  ?trust:Trust.t ->
+  ?thresholds:Context.thresholds ->
+  ?policy:policy ->
+  Harrier.Events.t list ->
+  Warning.t list
+
 (** [attach t monitor] subscribes [handle_event] to the monitor's event
     pipeline (sink name ["secpert"]).  Register trace/metrics sinks
     before attaching so policy "rule"/"warning" trace lines follow the

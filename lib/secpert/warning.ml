@@ -24,6 +24,16 @@ let pp ppf w =
 
 let to_string = Fmt.to_to_string pp
 
+let to_fields w =
+  let ev = w.evidence in
+  [ "severity", Obs.Str (Severity.label w.severity); "rule", Obs.Str w.rule;
+    "pid", Obs.Int w.pid; "tick", Obs.Int w.time; "rare", Obs.Bool w.rare ]
+  @ (if ev.Evidence.facts = [] then []
+     else [ "ev_facts", Obs.Str (Evidence.facts_to_string ev) ])
+  @ (if ev.Evidence.origins = [] then []
+     else [ "ev_origins", Obs.Str (Evidence.origins_to_string ev) ])
+  @ [ "message", Obs.Str w.message ]
+
 let max_severity ws =
   List.fold_left
     (fun acc w ->

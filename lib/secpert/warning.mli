@@ -34,6 +34,11 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val to_fields : t -> (string * Obs.value) list
+(** The fields of the warning's ["warning"] trace line: severity, rule,
+    pid, tick, rare, the evidence as [ev_facts]/[ev_origins] (each
+    omitted when empty), and message. *)
+
 (** [max_severity ws] is the highest severity present, if any. *)
 val max_severity : t list -> Severity.t option
 

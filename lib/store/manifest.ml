@@ -32,41 +32,26 @@ let digest counters =
   Printf.sprintf "%016Lx" !h
 
 let render e =
-  let b = Buffer.create 256 in
-  Printf.bprintf b "{\"run\":%s,\"scenario\":%s,\"policy\":%s"
-    (Jout.quote e.e_run) (Jout.quote e.e_scenario) (Jout.quote e.e_policy);
-  (match e.e_seed with
-  | Some s -> Printf.bprintf b ",\"seed\":%d" s
-  | None -> ());
-  (match e.e_fault with
-  | Some f -> Printf.bprintf b ",\"fault\":%s" (Jout.quote f)
-  | None -> ());
-  Printf.bprintf b
-    ",\"verdict\":%s,\"expected\":%s,\"match\":%b,\"warnings\":%d,\"distinct\":%d,\"degraded\":%b,\"steps\":%d,\"raw_bytes\":%d,\"framed_bytes\":%d,\"digest\":%s,\"segment\":%s}\n"
-    (Jout.quote e.e_verdict) (Jout.quote e.e_expected) e.e_match e.e_warnings
-    e.e_distinct e.e_degraded e.e_steps e.e_raw_bytes e.e_framed_bytes
-    (Jout.quote e.e_digest) (Jout.quote e.e_segment);
-  Buffer.contents b
+  Obs.render
+    ([ "run", Obs.Str e.e_run; "scenario", Obs.Str e.e_scenario;
+       "policy", Obs.Str e.e_policy ]
+     @ Option.fold ~none:[] ~some:(fun s -> [ "seed", Obs.Int s ]) e.e_seed
+     @ Option.fold ~none:[] ~some:(fun f -> [ "fault", Obs.Str f ]) e.e_fault
+     @ [ "verdict", Obs.Str e.e_verdict; "expected", Obs.Str e.e_expected;
+         "match", Obs.Bool e.e_match; "warnings", Obs.Int e.e_warnings;
+         "distinct", Obs.Int e.e_distinct; "degraded", Obs.Bool e.e_degraded;
+         "steps", Obs.Int e.e_steps; "raw_bytes", Obs.Int e.e_raw_bytes;
+         "framed_bytes", Obs.Int e.e_framed_bytes;
+         "digest", Obs.Str e.e_digest; "segment", Obs.Str e.e_segment ])
+  ^ "\n"
 
 let parse line =
   match Forensics.Jsonl.parse_line line with
   | Error e -> Error ("bad manifest line: " ^ e)
   | Ok fields -> (
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Forensics.Jsonl.Str s) -> Some s
-      | _ -> None
-    in
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (Forensics.Jsonl.Int i) -> Some i
-      | _ -> None
-    in
-    let bool k =
-      match List.assoc_opt k fields with
-      | Some (Forensics.Jsonl.Bool b) -> Some b
-      | _ -> None
-    in
+    let str = Forensics.Jsonl.str_field fields
+    and int = Forensics.Jsonl.int_field fields
+    and bool = Forensics.Jsonl.bool_field fields in
     match
       ( (str "run", str "scenario", str "policy", str "verdict"),
         (str "expected", bool "match", int "warnings", int "distinct"),

@@ -27,15 +27,8 @@ type sealed = {
   s_index : index;
 }
 
-let str_field fields k =
-  match List.assoc_opt k fields with
-  | Some (Forensics.Jsonl.Str s) -> Some s
-  | _ -> None
-
-let int_field fields k =
-  match List.assoc_opt k fields with
-  | Some (Forensics.Jsonl.Int i) -> Some i
-  | _ -> None
+let str_field = Forensics.Jsonl.str_field
+let int_field = Forensics.Jsonl.int_field
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -167,34 +160,41 @@ module Writer = struct
   let target t = Obs.Trace.chunk_target ~threshold:t.w_chunk_bytes (add_chunk t)
 
   let render_index b ix =
+    let line fields =
+      Buffer.add_string b (Obs.render fields);
+      Buffer.add_char b '\n'
+    in
     List.iter
       (fun c ->
-        Printf.bprintf b
-          "{\"ix\":\"chunk\",\"pos\":%d,\"raw_off\":%d,\"first_step\":%d,\"lines\":%d}\n"
-          c.c_pos c.c_raw_off c.c_first_step c.c_lines)
+        line
+          [ "ix", Obs.Str "chunk"; "pos", Obs.Int c.c_pos;
+            "raw_off", Obs.Int c.c_raw_off;
+            "first_step", Obs.Int c.c_first_step; "lines", Obs.Int c.c_lines ])
       ix.ix_chunks;
     List.iter
       (fun w ->
-        Printf.bprintf b
-          "{\"ix\":\"warning\",\"step\":%d,\"rule\":%s,\"severity\":%s}\n"
-          w.w_step (Jout.quote w.w_rule) (Jout.quote w.w_severity))
+        line
+          [ "ix", Obs.Str "warning"; "step", Obs.Int w.w_step;
+            "rule", Obs.Str w.w_rule; "severity", Obs.Str w.w_severity ])
       ix.ix_warnings;
     List.iter
       (fun (name, steps) ->
-        Printf.bprintf b "{\"ix\":\"name\",\"name\":%s,\"steps\":%s}\n"
-          (Jout.quote name)
-          (Jout.quote (String.concat "," (List.map string_of_int steps))))
+        line
+          [ "ix", Obs.Str "name"; "name", Obs.Str name;
+            "steps",
+            Obs.Str (String.concat "," (List.map string_of_int steps)) ])
       ix.ix_names;
     List.iter
       (fun (pid, addr, count) ->
-        Printf.bprintf b
-          "{\"ix\":\"block\",\"pid\":%d,\"addr\":%d,\"count\":%d}\n" pid addr
-          count)
+        line
+          [ "ix", Obs.Str "block"; "pid", Obs.Int pid; "addr", Obs.Int addr;
+            "count", Obs.Int count ])
       ix.ix_blocks;
     List.iter
       (fun (name, value) ->
-        Printf.bprintf b "{\"ix\":\"counter\",\"name\":%s,\"value\":%d}\n"
-          (Jout.quote name) value)
+        line
+          [ "ix", Obs.Str "counter"; "name", Obs.Str name;
+            "value", Obs.Int value ])
       ix.ix_counters
 
   let seal t =

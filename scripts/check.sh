@@ -297,7 +297,7 @@ fi
 "$run_exe" run pma --trace "$tmp/pma.tee.jsonl" --store "$tmp/store.tee" \
   > /dev/null
 store_file_ok=1
-for c in explain profile; do
+for c in explain profile replay; do
   "$trace_exe" "$c" "$tmp/pma.tee.jsonl" > "$tmp/pma.$c.file"
   "$trace_exe" "$c" --store "$tmp/store.tee" pma > "$tmp/pma.$c.store"
   if ! cmp -s "$tmp/pma.$c.file" "$tmp/pma.$c.store"; then
@@ -321,7 +321,7 @@ if ! "$trace_exe" diff --store "$tmp/store.tee" pma pma > /dev/null; then
   status=1
 fi
 [ "$store_file_ok" -eq 1 ] \
-  && echo "  ok: explain/query/profile/diff identical from file and store"
+  && echo "  ok: explain/query/profile/replay/diff identical from file and store"
 
 # the fleet surface, from both builds
 fleet_ok=1

@@ -26,7 +26,7 @@ let () =
       "engine", Test_engine.suite;
       "extensions", Test_extensions.suite;
       "clips-policy", Test_clips_policy.suite;
-      "trace", Test_trace.suite;
+      "trace", Test_replay.suite;
       "chaos", Test_chaos.suite;
       "golden", Test_golden.suite;
       "forensics", Test_forensics.suite;

@@ -707,72 +707,159 @@ let prop_tier_equivalence =
       | Ok _, Error _ | Error _, Ok _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Trace round trip for random events                                   *)
+(* Flow-line round trip for random events                               *)
+
+(* Names over the whole byte range, biased toward the tag-set
+   separators and the escape characters of both encodings. *)
+let name_gen =
+  Gen.string_size ~gen:
+    (Gen.frequency
+       [ 3, Gen.char;
+         2, Gen.oneofl [ '%'; ','; ';'; '<'; '-'; ':'; '\\'; '"'; '\n' ] ])
+    (Gen.int_bound 8)
+
+let wild_source_gen =
+  let open Gen in
+  oneof
+    [ return Taint.Source.User_input;
+      return Taint.Source.Hardware;
+      map (fun n -> Taint.Source.File n) name_gen;
+      map (fun n -> Taint.Source.Socket n) name_gen;
+      map (fun n -> Taint.Source.Binary n) name_gen ]
+
+let wild_tagset_gen =
+  Gen.map (Taint.Tagset.of_list sp)
+    (Gen.list_size (Gen.int_bound 3) wild_source_gen)
+
+let annotated_gen =
+  Gen.list_size (Gen.int_bound 3) (Gen.pair wild_source_gen wild_tagset_gen)
 
 let resource_gen =
-  Gen.map2
-    (fun kind (name, origin) : Harrier.Events.resource ->
-      { r_kind = kind; r_name = name; r_origin = origin })
+  Gen.map3
+    (fun r_kind r_name r_origin : Harrier.Events.resource ->
+      { r_kind; r_name; r_origin })
     (Gen.oneofl
        [ Harrier.Events.R_file; Harrier.Events.R_socket;
          Harrier.Events.R_stdio ])
-    (Gen.pair Gen.string_printable tagset_gen)
+    name_gen wild_tagset_gen
 
-let meta_gen =
-  Gen.map2
-    (fun (pid, time, freq, addr) step : Harrier.Events.meta ->
+(* A flow line's step is its index in the trace, so the event at index
+   [step] carries that step. *)
+let meta_gen step =
+  Gen.map
+    (fun (pid, time, freq, addr) : Harrier.Events.meta ->
       { pid; time; freq; addr; step })
     Gen.(quad small_nat small_nat small_nat small_nat)
-    Gen.small_nat
 
-let event_gen =
+let event_gen step =
   let open Gen in
+  let meta = meta_gen step in
   oneof
     [ map3
         (fun path argv meta -> Harrier.Events.Exec { path; argv; meta })
         resource_gen
-        (list_size (int_bound 3) string_printable)
-        meta_gen;
+        (list_size (int_bound 3) name_gen)
+        meta;
       map3
-        (fun total recent meta ->
-          Harrier.Events.Clone { total; recent; window = 3000; meta })
-        small_nat small_nat meta_gen;
+        (fun (total, recent) window meta ->
+          Harrier.Events.Clone { total; recent; window; meta })
+        (pair small_nat small_nat) small_nat meta;
       map3
         (fun call res meta -> Harrier.Events.Access { call; res; meta })
         (oneofl [ "SYS_open"; "SYS_connect"; "SYS_bind" ])
-        resource_gen meta_gen;
+        resource_gen meta;
       map3
         (fun requested total meta ->
           Harrier.Events.Alloc { requested; total; meta })
-        small_nat small_nat meta_gen;
+        small_nat small_nat meta;
       map3
         (fun (data, head, sources, guard) (target, via_server) (len, meta) ->
           Harrier.Events.Transfer
             { call = "SYS_write"; data; head; sources; guard; target;
               via_server; len; meta })
-        (quad tagset_gen string
-           (list_size (int_bound 3) (pair source_gen tagset_gen))
-           (list_size (int_bound 2) (pair source_gen tagset_gen)))
+        (quad wild_tagset_gen
+           (string_size ~gen:char (int_bound 8))
+           annotated_gen annotated_gen)
         (pair resource_gen (option resource_gen))
-        (pair small_nat meta_gen) ]
+        (pair small_nat meta) ]
 
-let event =
+let events =
   make
-    ~print:(fun e -> Fmt.to_to_string Harrier.Events.pp e)
-    event_gen
+    ~print:(fun es ->
+      String.concat "\n"
+        (List.map (fun e -> Obs.render (Harrier.Events.to_fields e)) es))
+    Gen.(int_bound 5 >>= fun n -> flatten_l (List.init n event_gen))
 
+(* event -> Obs.Trace buffer sink -> Reader -> of_fields gives back the
+   same event; decoding into the generator's space makes equal tag
+   sets physically equal, so structural equality is exact. *)
 let prop_trace_roundtrip =
-  Test.make ~name:"trace serialize/parse round trip" ~count:300
-    (list_of_size (Gen.int_bound 5) event) (fun events ->
-      match Hth.Trace.of_string (Hth.Trace.to_string events) with
+  Test.make ~name:"trace serialize/parse round trip" ~count:300 events
+    (fun events ->
+      let buf = Buffer.create 1024 in
+      Obs.Trace.to_buffer buf;
+      Fun.protect ~finally:Obs.Trace.disable (fun () ->
+          List.iter
+            (fun e -> Obs.Trace.emit "flow" (Harrier.Events.to_fields e))
+            events);
+      match Forensics.Reader.of_string (Buffer.contents buf) with
       | Error _ -> false
-      | Ok events' ->
-        List.length events = List.length events'
-        && List.for_all2
-             (fun a b ->
-               Fmt.to_to_string Harrier.Events.pp a
-               = Fmt.to_to_string Harrier.Events.pp b)
-             events events')
+      | Ok trace ->
+        List.map
+          (fun (e : Forensics.Reader.entry) ->
+            Harrier.Events.of_fields sp e.fields)
+          (Forensics.Reader.entries trace)
+        = List.map Result.ok events)
+
+(* Decoder robustness: byte-mutated golden flow lines parse and decode
+   to [Ok] or [Error], never an escaped exception. *)
+let golden_flow_lines =
+  lazy
+    (Sys.readdir "golden" |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+     |> List.sort String.compare
+     |> List.concat_map (fun f ->
+            In_channel.with_open_bin (Filename.concat "golden" f)
+              In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l ->
+                   Astring.String.is_infix ~affix:{|"ev":"flow"|} l))
+     |> Array.of_list)
+
+let mutate line edits =
+  List.fold_left
+    (fun s (pos, op, c) ->
+      let n = String.length s in
+      let i = if n = 0 then 0 else pos mod n in
+      match op with
+      | 0 -> String.mapi (fun j x -> if j = i then c else x) s
+      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | _ when n = 0 -> s
+      | _ -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1))
+    line edits
+
+let mutation =
+  make
+    ~print:(fun (k, edits) ->
+      let lines = Lazy.force golden_flow_lines in
+      mutate lines.(k mod Array.length lines) edits)
+    Gen.(
+      pair nat
+        (list_size (int_range 1 4)
+           (triple nat (int_bound 2) char)))
+
+let prop_flow_decoder_total =
+  Test.make ~name:"mutated flow lines decode or fail, never raise"
+    ~count:500 mutation (fun (k, edits) ->
+      let lines = Lazy.force golden_flow_lines in
+      let line = mutate lines.(k mod Array.length lines) edits in
+      (match Forensics.Jsonl.parse_line line with
+       | Ok fields -> ignore (Harrier.Events.of_fields sp fields)
+       | Error _ -> ());
+      (match Forensics.Reader.of_string line with
+       | Ok trace -> ignore (Forensics.Reader.events trace)
+       | Error _ -> ());
+      true)
 
 let props =
   [ prop_union_commutes; prop_union_assoc; prop_union_idempotent;
@@ -785,7 +872,7 @@ let props =
     prop_value_compare_antisym; prop_sexp_roundtrip; prop_word_roundtrip;
     prop_string_roundtrip; prop_machine_matches_reference;
     prop_fs_roundtrip; prop_shadow_range_union; prop_engine_refraction;
-    prop_secure_no_data; prop_trace_roundtrip;
+    prop_secure_no_data; prop_trace_roundtrip; prop_flow_decoder_total;
     prop_dataflow_matches_reference; prop_obs_counters_ground_truth;
     prop_tier_equivalence ]
 
