@@ -173,8 +173,8 @@ let sweep run_one scs () =
   List.iter (fun (sc : Guest.Scenario.t) -> ignore (run_one sc.sc_setup)) scs
 
 (* Corpus rows are measured by sustained averaging, not bechamel's
-   OLS.  A cold sweep allocates (and drops) two dozen one-megabyte
-   address spaces, so its cost includes real GC debt whose repayment
+   OLS.  A cold sweep allocates (and drops) guest pages, shadow pages
+   and taint arenas, so its cost includes real GC debt whose repayment
    drifts across consecutive samples; that drift wrecks the OLS fit,
    and whatever live heap earlier benchmark groups left behind leaks
    into the estimate.  Compacting, warming twice, then averaging whole

@@ -13,12 +13,12 @@ let list_cmd =
       (fun (gid, title, scs) ->
         Printf.printf "%s (%s):\n" title gid;
         List.iter
-          (fun (sc : Guest.Scenario.t) ->
-            Printf.printf "  %-40s %-18s %s\n" sc.sc_name
-              (Guest.Scenario.expected_label sc.sc_expected)
-              sc.sc_descr)
+          (fun (sp : Guest.Scenario.spec) ->
+            Printf.printf "  %-40s %-18s %s\n" sp.sp_name
+              (Guest.Scenario.expected_label sp.sp_expected)
+              sp.sp_descr)
           scs)
-      Guest.Corpus.groups
+      Guest.Registry.groups
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -218,7 +218,7 @@ let run_scenario name events no_dataflow no_freq no_shortcircuit no_tier
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
   end;
-  match Guest.Corpus.find name with
+  match Guest.Registry.find name with
   | None ->
     Printf.eprintf "unknown scenario %S; try `list`\n" name;
     exit 2
@@ -328,7 +328,7 @@ let run_cmd =
    (the [vm.blocks.*] and [harrier.summary.*] strategy counters).
    Counters that depend on how work was spread over workers are left
    out, so the report reads the same at any --jobs. *)
-let print_batch_stats stats outcomes =
+let print_batch_stats corpus stats outcomes =
   let guest, strategy =
     List.partition
       (fun (n, _) -> not (Hth.Engine.strategy_counter n))
@@ -371,7 +371,7 @@ let print_batch_stats stats outcomes =
              List.map (fun (pid, addr, n) -> n, sc.sc_name, pid, addr)
                r.hot_blocks
            | Error _ -> [])
-         Guest.Corpus.all outcomes)
+         corpus outcomes)
     |> List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare b a)
     |> List.filteri (fun i _ -> i < 10)
   in
@@ -468,6 +468,9 @@ let batch_cmd =
       (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
       trace_dir;
     let store = Option.map open_store store_dir in
+    (* every scenario is built here, on the main domain, before any
+       worker exists *)
+    let corpus = Guest.Registry.all () in
     (* Every batch goes through the fleet (jobs=1 is a one-worker
        fleet); outcomes come back in submission order, so this prints
        the exact rows the old sequential loop printed. *)
@@ -480,7 +483,7 @@ let batch_cmd =
              Fleet.Executor.job ~budgets ~fault
                ~trace:(trace_dir <> None)
                ~store:(Option.is_some store) sc.sc_setup)
-           Guest.Corpus.all)
+           corpus)
     in
     (* shutdown absorbs every worker's Obs shard into this domain *)
     Fleet.Executor.shutdown ex;
@@ -540,12 +543,12 @@ let batch_cmd =
             (String.concat "; "
                ((if ok then [] else [ "MISMATCH" ])
                @ if r.degraded = [] then [] else [ "degraded" ])))
-      Guest.Corpus.all outcomes;
+      corpus outcomes;
     Option.iter Store.Warehouse.close store;
     Fmt.pr "@.%d scenarios: %d verdict mismatches, %d errors, %d degraded@."
-      (List.length Guest.Corpus.all)
+      (List.length corpus)
       !failures !errors !degraded;
-    if stats then print_batch_stats batch_stats outcomes;
+    if stats then print_batch_stats corpus batch_stats outcomes;
     if !failures > 0 || !errors > 0 then exit 1
   in
   Cmd.v (Cmd.info "batch" ~doc)

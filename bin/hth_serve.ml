@@ -27,7 +27,7 @@ let resolver name =
       { Fleet.Serve.t_setup = sc.sc_setup;
         t_expected = Guest.Scenario.expected_label sc.sc_expected;
         t_matches = Guest.Scenario.matches sc.sc_expected })
-    (Guest.Corpus.find name)
+    (Guest.Registry.find name)
 
 let jobs_arg =
   let doc = "Size of the worker-domain fleet." in
@@ -106,7 +106,10 @@ let serve_fd svc fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   Fleet.Serve.serve_connection svc
-    ~input:(fun () -> try In_channel.input_line ic with _ -> None)
+    ~input:(fun () ->
+      try Fleet.Serve.read_line ic with
+      | Fleet.Serve.Line_too_long as e -> raise e
+      | _ -> None)
     ~output:(fun line ->
       output_string oc line;
       output_char oc '\n';
@@ -127,7 +130,7 @@ let serve_stdin ~jobs ~deadline ~window ~max_inflight ~default_ticks ?store
     (fun () ->
       ignore
         (Fleet.Serve.serve_connection svc
-           ~input:(fun () -> In_channel.input_line stdin)
+           ~input:(fun () -> Fleet.Serve.read_line stdin)
            ~output:(fun line ->
              print_string line;
              print_char '\n';

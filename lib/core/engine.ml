@@ -131,20 +131,13 @@ type t = {
          [Taint.Space.reset] restores the freshly-created state — same
          interning decisions, same cache counters — so a pooled space
          is observationally a new one, minus the arena allocation. *)
-  e_mem_pool : Vm.Machine.mem_pool;
-      (* recycled 1 MiB guest address spaces: each run's kernel draws
-         machines from this pool and [Osim.Kernel.recycle] returns them
-         at tear-down.  Buffers are zeroed or overwritten on reuse, so
-         guest behaviour — and therefore every counter and trace line —
-         is identical to fresh allocation. *)
-  e_mem_pool_cap : int;  (* remembered so [fork] can size worker pools *)
 }
 
 let space_pool_cap = 4
 
 let create ?monitor_config ?trust ?thresholds ?auto_kill
     ?(policy = Secpert.System.Native) ?(keep_events = true)
-    ?(share_taint_space = false) ?(mem_pool_cap = 16) () =
+    ?(share_taint_space = false) () =
   { e_monitor_config =
       Option.value monitor_config ~default:Harrier.Monitor.default_config;
     e_trust = trust;
@@ -155,16 +148,14 @@ let create ?monitor_config ?trust ?thresholds ?auto_kill
     e_shared_space =
       (if share_taint_space then Some (Taint.Space.create ()) else None);
     e_images = [];
-    e_space_pool = [];
-    e_mem_pool = Vm.Machine.mem_pool ~cap:mem_pool_cap ();
-    e_mem_pool_cap = mem_pool_cap }
+    e_space_pool = [] }
 
 (* A worker's view of the same engine.  The shared artifacts — compiled
    policy (for CLIPS, the parsed rule forms as finished values), trust
    database, thresholds, monitor configuration — are immutable after
    [create] and safe to read from any domain; everything mutable (the
-   linked-image cache, the taint-space pool, the guest memory pool, the
-   shared taint space when enabled) is per-fork, so a fork is safe to
+   linked-image cache, the taint-space pool, the shared taint space
+   when enabled) is per-fork, so a fork is safe to
    drive from another domain concurrently with its parent and with
    other forks.  Each fork re-links images on first sight of a program
    set: linking is deterministic and happens outside per-run counter
@@ -177,8 +168,6 @@ let fork eng =
        means every worker maps the same text arrays, whose decoded
        block tables and compiled-insn slots are shared fleet-wide *)
     e_space_pool = [];
-    e_mem_pool = Vm.Machine.mem_pool ~cap:eng.e_mem_pool_cap ();
-    e_mem_pool_cap = eng.e_mem_pool_cap;
     e_shared_space =
       Option.map (fun _ -> Taint.Space.create ()) eng.e_shared_space }
 
@@ -263,9 +252,9 @@ let build_world s =
 
 (* World boot and program spawn, shared between the monitored and
    unmonitored paths so their wiring cannot drift. *)
-let boot ?fault ?mem_pool s =
+let boot ?fault s =
   let fs, net = build_world s in
-  Osim.Kernel.create ~fs ~net ~user_input:s.user_input ?fault ?mem_pool ()
+  Osim.Kernel.create ~fs ~net ~user_input:s.user_input ?fault ()
 
 let spawn_main ?images kernel s =
   match
@@ -315,7 +304,7 @@ let run_outcome_ambient eng ~budgets ~fault s =
   in
   match
     phase "build" h_build (fun () ->
-        let kernel = boot ~fault ~mem_pool:eng.e_mem_pool s in
+        let kernel = boot ~fault s in
         let monitor = Harrier.Monitor.attach ~config:mcfg ~space kernel in
         (* The event pipeline, in dispatch order: the trace sink first
            (each event's "flow" line must land at its pre-stamped step,
@@ -345,16 +334,12 @@ let run_outcome_ambient eng ~budgets ~fault s =
   | exception e ->
     fail (Error.Crash { phase = "build"; exn = Printexc.to_string e })
   | kernel, monitor, secpert, events_log ->
-    (* From here the kernel owns pooled address spaces: return them at
-       tear-down on every exit path (the result only carries scalars,
-       strings and tag sets — never machine memory).  The monitor's
-       tier, taint and shadow counts are settled into Obs on every exit
-       path too, so outside snapshot diffs and fleet shard exports see
-       them all; the success path settles before its own snapshot. *)
+    (* The monitor's tier, taint and shadow counts are settled into Obs
+       on every exit path, so outside snapshot diffs and fleet shard
+       exports see them all; the success path settles before its own
+       snapshot. *)
     Fun.protect
-      ~finally:(fun () ->
-        Harrier.Monitor.settle monitor;
-        Osim.Kernel.recycle kernel)
+      ~finally:(fun () -> Harrier.Monitor.settle monitor)
     @@ fun () ->
     (match phase "spawn" h_spawn (fun () -> spawn_main ?images kernel s) with
      | exception e ->

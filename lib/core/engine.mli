@@ -141,12 +141,7 @@ type t
     [share_taint_space] (default [false]): when [true], every session
     interns tag sets into one shared space instead of a fresh one —
     faster on a corpus, but per-run [taint.*] counters become
-    warm-dependent and are omitted from traces.
-
-    [mem_pool_cap] (default 16) bounds the guest address-space buffers
-    (1 MiB each) recycled between sessions; [0] disables pooling —
-    right for single-use engines, where retaining buffers only delays
-    their collection. *)
+    warm-dependent and are omitted from traces. *)
 val create :
   ?monitor_config:Harrier.Monitor.config ->
   ?trust:Secpert.Trust.t ->
@@ -155,7 +150,6 @@ val create :
   ?policy:Secpert.System.policy ->
   ?keep_events:bool ->
   ?share_taint_space:bool ->
-  ?mem_pool_cap:int ->
   unit ->
   t
 
@@ -163,13 +157,12 @@ val create :
     compiled policy, trust database, configuration and a snapshot of
     the linked-image cache (linked images are immutable, so workers
     mapping the same text arrays also share their decoded-block tables
-    and compiled-instruction slots) but owns fresh mutable pools —
-    taint-space pool, guest memory pool, and its own shared taint
-    space when the parent enabled one.  A fork is safe to use from
-    another domain concurrently with the parent and with other forks,
-    and runs sessions byte-identically to the parent (program sets the
-    snapshot misses are re-linked deterministically, outside per-run
-    counter snapshots). *)
+    and compiled-instruction slots) but owns a fresh taint-space pool
+    and its own shared taint space when the parent enabled one.  A
+    fork is safe to use from another domain concurrently with the
+    parent and with other forks, and runs sessions byte-identically to
+    the parent (program sets the snapshot misses are re-linked
+    deterministically, outside per-run counter snapshots). *)
 val fork : t -> t
 
 (** [run_outcome engine setup] executes one session against the

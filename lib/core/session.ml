@@ -54,11 +54,7 @@ let parse_budgets = Engine.parse_budgets
 let run_outcome ?monitor_config ?trust ?thresholds ?auto_kill ?policy
     ?budgets ?fault ?trace s =
   let eng =
-    (* mem_pool_cap:0 — a single-use engine must not retain recycled
-       address spaces; that only keeps dead megabytes alive until the
-       engine itself is collected *)
-    Engine.create ?monitor_config ?trust ?thresholds ?auto_kill ?policy
-      ~mem_pool_cap:0 ()
+    Engine.create ?monitor_config ?trust ?thresholds ?auto_kill ?policy ()
   in
   Engine.run_outcome eng ?budgets ?fault ?trace s
 

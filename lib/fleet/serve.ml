@@ -604,6 +604,41 @@ let supervisor svc = svc.sv_sup
 
 let drain svc = Supervisor.begin_drain svc.sv_sup
 
+(* ------------------------------------------------------------------ *)
+(* bounded request lines                                               *)
+
+let max_request_bytes = 65_536
+
+exception Line_too_long
+
+(* Reads byte by byte from the channel's buffer (allocation-free
+   [input_char]): once a line passes the cap its bytes are dropped as
+   they arrive, so the heap never holds more than [max_request_bytes]
+   of one request. *)
+let read_line ic =
+  let b = Buffer.create 256 in
+  let rec keep () =
+    match input_char ic with
+    | exception End_of_file ->
+      if Buffer.length b = 0 then None else Some (Buffer.contents b)
+    | '\n' -> Some (Buffer.contents b)
+    | c ->
+      if Buffer.length b < max_request_bytes then begin
+        Buffer.add_char b c;
+        keep ()
+      end
+      else skip ()
+  and skip () =
+    match input_char ic with
+    | exception End_of_file -> raise Line_too_long
+    | '\n' -> raise Line_too_long
+    | _ -> skip ()
+  in
+  keep ()
+
+let too_long_msg =
+  Printf.sprintf "request line longer than %d bytes" max_request_bytes
+
 let serve_connection svc ~input ~output () =
   let c =
     { c_mu = Mutex.create ();
@@ -618,6 +653,9 @@ let serve_connection svc ~input ~output () =
   let rec loop k =
     match input () with
     | None -> k
+    | exception Line_too_long ->
+      conn_emit c k (bad_line k too_long_msg);
+      loop (k + 1)
     | Some line ->
       (match
          parse_request svc.sv_resolver ~default_ticks:svc.sv_default_ticks

@@ -86,9 +86,25 @@ val supervisor : service -> Supervisor.t
     [shutting_down].  Health/stats still answer.  Idempotent. *)
 val drain : service -> unit
 
+(** Longest request line {!read_line} returns, in bytes, newline
+    excluded. *)
+val max_request_bytes : int
+
+(** Raised by {!read_line} for a line longer than {!max_request_bytes}. *)
+exception Line_too_long
+
+(** [read_line ic] is the next request line of [ic] without its newline
+    ([None] at end of input), like [In_channel.input_line] but bounded:
+    a line longer than {!max_request_bytes} is read to its newline (or
+    the end of input) without being kept, and then raises
+    {!Line_too_long}; the next call reads the line after it. *)
+val read_line : In_channel.t -> string option
+
 (** [serve_connection svc ~input ~output ()] serves one connection
     until [input] returns [None], waits for the connection's admitted
     jobs to be answered, and returns the number of requests answered.
+    An [input] that raises {!Line_too_long} (as {!read_line} does) has
+    that line answered [bad_request] at its position; reading goes on.
     Safe to call from many threads concurrently — that {e is} the
     point.  [output] is called once per response line (no trailing
     newline), possibly from the collector thread, never concurrently

@@ -50,7 +50,7 @@ let std_spaces u =
 (* ---------------- PWSteal.Tarno.Q ---------------- *)
 (* Logs keystrokes to a hard-coded file, then periodically sends the
    collected file to a predefined address. *)
-let pwsteal_exe =
+let pwsteal_exe () =
   let u = create ~path:"/trojans/pwsteal" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -74,17 +74,18 @@ let pwsteal_exe =
   finalize u
 
 let pwsteal =
-  Scenario.make ~name:"PWSteal.Tarno.Q" ~group
+  Scenario.define ~name:"PWSteal.Tarno.Q" ~group
     ~descr:"keylogger: hard-coded log file exfiltrated to a predefined \
             address"
     ~expected:high
-    (setup ~programs:[ pwsteal_exe ] ~hosts:Common.all_hosts
-       ~user_input:[ "bank password 1234\n" ]
-       ~servers:[ fst Common.evil_host, 80, passive (fst Common.evil_host) ]
-       ~main:"/trojans/pwsteal" ())
+  @@ fun () ->
+  setup ~programs:[ pwsteal_exe () ] ~hosts:Common.all_hosts
+    ~user_input:[ "bank password 1234\n" ]
+    ~servers:[ fst Common.evil_host, 80, passive (fst Common.evil_host) ]
+    ~main:"/trojans/pwsteal" ()
 
 (* ---------------- Trojan.Lodeight.A ---------------- *)
-let lodeight_exe =
+let lodeight_exe () =
   let u = create ~path:"/trojans/lodeight" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -106,19 +107,20 @@ let lodeight_exe =
   finalize u
 
 let lodeight =
-  Scenario.make ~name:"Trojan.Lodeight.A" ~group
+  Scenario.define ~name:"Trojan.Lodeight.A" ~group
     ~descr:"downloads and executes a remote file, opens a backdoor on \
             TCP 1084"
     ~expected:high
-    (setup ~programs:[ lodeight_exe ] ~hosts:Common.all_hosts
-       ~servers:
-         [ fst Common.evil_host, 80,
-           send_close (fst Common.evil_host) "MZbeagle-worm-payload" ]
-       ~incoming:[ 1084, send_close "attacker" "PING" ]
-       ~main:"/trojans/lodeight" ())
+  @@ fun () ->
+  setup ~programs:[ lodeight_exe () ] ~hosts:Common.all_hosts
+    ~servers:
+      [ fst Common.evil_host, 80,
+        send_close (fst Common.evil_host) "MZbeagle-worm-payload" ]
+    ~incoming:[ 1084, send_close "attacker" "PING" ]
+    ~main:"/trojans/lodeight" ()
 
 (* ---------------- W32.Mytob.J@mm ---------------- *)
-let mytob_exe =
+let mytob_exe () =
   let u = create ~path:"/trojans/mytob" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -142,21 +144,22 @@ let mytob_exe =
   finalize u
 
 let mytob =
-  Scenario.make ~name:"W32.Mytob.J@mm" ~group
+  Scenario.define ~name:"W32.Mytob.J@mm" ~group
     ~descr:"copies itself to the system folder; IRC channel commands \
             remote execution"
     ~expected:high
-    (setup
-       ~programs:[ mytob_exe; Common.trivial "/bin/true" ]
-       ~files:[ "/trojans/mytob", "MZ-mytob-self-bytes" ]
-       ~hosts:Common.all_hosts
-       ~servers:
-         [ fst Common.evil_host, 6667,
-           send_close (fst Common.evil_host) "/bin/true\000" ]
-       ~main:"/trojans/mytob" ())
+  @@ fun () ->
+  setup
+    ~programs:[ mytob_exe (); Common.trivial "/bin/true" ]
+    ~files:[ "/trojans/mytob", "MZ-mytob-self-bytes" ]
+    ~hosts:Common.all_hosts
+    ~servers:
+      [ fst Common.evil_host, 6667,
+        send_close (fst Common.evil_host) "/bin/true\000" ]
+    ~main:"/trojans/mytob" ()
 
 (* ---------------- Trojan.Vundo ---------------- *)
-let vundo_exe =
+let vundo_exe () =
   let u = create ~path:"/trojans/vundo" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -185,18 +188,19 @@ let vundo_exe =
   finalize u
 
 let vundo =
-  Scenario.make ~name:"Trojan.Vundo" ~group
+  Scenario.define ~name:"Trojan.Vundo" ~group
     ~descr:"drops a downloaded adware component and degrades performance"
     ~expected:high
-    (setup ~programs:[ vundo_exe ] ~hosts:Common.all_hosts
-       ~max_ticks:200_000
-       ~servers:
-         [ fst Common.evil_host, 80,
-           send_close (fst Common.evil_host) "MZ-vundo-adware-component" ]
-       ~main:"/trojans/vundo" ())
+  @@ fun () ->
+  setup ~programs:[ vundo_exe () ] ~hosts:Common.all_hosts
+    ~max_ticks:200_000
+    ~servers:
+      [ fst Common.evil_host, 80,
+        send_close (fst Common.evil_host) "MZ-vundo-adware-component" ]
+    ~main:"/trojans/vundo" ()
 
 (* ---------------- Windows-update.com ---------------- *)
-let winupdate_exe =
+let winupdate_exe () =
   let u = create ~path:"/trojans/winupdate" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ~needed:[ Libc.path ] ()
   in
@@ -232,23 +236,24 @@ let winupdate_exe =
   finalize u
 
 let winupdate =
-  Scenario.make ~name:"Windows-update.com" ~group
+  Scenario.define ~name:"Windows-update.com" ~group
     ~descr:"fake update site: staged downloads through config-named hosts"
     ~expected:high
-    (setup
-       ~programs:[ winupdate_exe; Libc.image () ]
-       ~hosts:Common.all_hosts
-       ~servers:
-         [ fst Common.evil_host, 80,
-           send_close (fst Common.evil_host) "MZ-stage1-trojan";
-           fst Common.data_host, 80,
-           send_close (fst Common.data_host) (fst Common.sink_host ^ "\000");
-           fst Common.sink_host, 80,
-           send_close (fst Common.sink_host) "MZ-custom-trojan" ]
-       ~main:"/trojans/winupdate" ())
+  @@ fun () ->
+  setup
+    ~programs:[ winupdate_exe (); Libc.image () ]
+    ~hosts:Common.all_hosts
+    ~servers:
+      [ fst Common.evil_host, 80,
+        send_close (fst Common.evil_host) "MZ-stage1-trojan";
+        fst Common.data_host, 80,
+        send_close (fst Common.data_host) (fst Common.sink_host ^ "\000");
+        fst Common.sink_host, 80,
+        send_close (fst Common.sink_host) "MZ-custom-trojan" ]
+    ~main:"/trojans/winupdate" ()
 
 (* ---------------- W32/MyDoom.B ---------------- *)
-let mydoom_exe =
+let mydoom_exe () =
   let u = create ~path:"/trojans/mydoom" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -273,16 +278,17 @@ let mydoom_exe =
   finalize u
 
 let mydoom =
-  Scenario.make ~name:"W32/MyDoom.B" ~group
+  Scenario.define ~name:"W32/MyDoom.B" ~group
     ~descr:"registry persistence, backdoor port, TCP proxy relay"
     ~expected:high
-    (setup ~programs:[ mydoom_exe ] ~hosts:Common.all_hosts
-       ~servers:[ fst Common.sink_host, 25, passive (fst Common.sink_host) ]
-       ~incoming:[ 3127, send_close "attacker" "RELAY me anywhere" ]
-       ~main:"/trojans/mydoom" ())
+  @@ fun () ->
+  setup ~programs:[ mydoom_exe () ] ~hosts:Common.all_hosts
+    ~servers:[ fst Common.sink_host, 25, passive (fst Common.sink_host) ]
+    ~incoming:[ 3127, send_close "attacker" "RELAY me anywhere" ]
+    ~main:"/trojans/mydoom" ()
 
 (* ---------------- Phatbot ---------------- *)
-let phatbot_exe =
+let phatbot_exe () =
   let u = create ~path:"/trojans/phatbot" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -305,22 +311,23 @@ let phatbot_exe =
   finalize u
 
 let phatbot =
-  Scenario.make ~name:"Phatbot" ~group
+  Scenario.define ~name:"Phatbot" ~group
     ~descr:"p2p-controlled bot: steals CD keys, executes remote commands"
     ~expected:high
-    (setup
-       ~programs:[ phatbot_exe; Common.trivial "/bin/true" ]
-       ~files:[ "/windows/keys.dat", "XXXX-YYYY-ZZZZ-GAME-KEY" ]
-       ~hosts:Common.all_hosts
-       ~servers:
-         [ fst Common.evil_host, 4387,
-           { Osim.Net.actor_host = fst Common.evil_host;
-             script =
-               [ Osim.Net.Expect 23; Osim.Net.Send "/bin/true\000" ] } ]
-       ~main:"/trojans/phatbot" ())
+  @@ fun () ->
+  setup
+    ~programs:[ phatbot_exe (); Common.trivial "/bin/true" ]
+    ~files:[ "/windows/keys.dat", "XXXX-YYYY-ZZZZ-GAME-KEY" ]
+    ~hosts:Common.all_hosts
+    ~servers:
+      [ fst Common.evil_host, 4387,
+        { Osim.Net.actor_host = fst Common.evil_host;
+          script =
+            [ Osim.Net.Expect 23; Osim.Net.Send "/bin/true\000" ] } ]
+    ~main:"/trojans/phatbot" ()
 
 (* ---------------- Sendmail distribution Trojan ---------------- *)
-let sendmail_exe =
+let sendmail_exe () =
   let u = create ~path:"/build/sendmail-build"
       ~kind:Binary.Image.Executable ~base:Common.exe_base ()
   in
@@ -343,19 +350,20 @@ let sendmail_exe =
   finalize u
 
 let sendmail =
-  Scenario.make ~name:"Sendmail Trojan" ~group
+  Scenario.define ~name:"Sendmail Trojan" ~group
     ~descr:"build process forks a shell connected to port 6667"
     ~expected:high
-    (setup
-       ~programs:[ sendmail_exe; Common.trivial "/bin/sh" ]
-       ~hosts:Common.all_hosts
-       ~servers:
-         [ fst Common.evil_host, 6667,
-           send_close (fst Common.evil_host) "/bin/sh\000" ]
-       ~main:"/build/sendmail-build" ())
+  @@ fun () ->
+  setup
+    ~programs:[ sendmail_exe (); Common.trivial "/bin/sh" ]
+    ~hosts:Common.all_hosts
+    ~servers:
+      [ fst Common.evil_host, 6667,
+        send_close (fst Common.evil_host) "/bin/sh\000" ]
+    ~main:"/build/sendmail-build" ()
 
 (* ---------------- TCP Wrappers Trojan ---------------- *)
-let tcpwrap_exe =
+let tcpwrap_exe () =
   let u = create ~path:"/sbin/tcpd" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -380,16 +388,17 @@ let tcpwrap_exe =
   finalize u
 
 let tcpwrap =
-  Scenario.make ~name:"TCP Wrappers Trojan" ~group
+  Scenario.define ~name:"TCP Wrappers Trojan" ~group
     ~descr:"backdoor wrapper: leaks system identity, remote root shell"
     ~expected:high
-    (setup
-       ~programs:[ tcpwrap_exe; Common.trivial "/bin/sh" ]
-       ~incoming:
-         [ 421,
-           { Osim.Net.actor_host = "intruder";
-             script = [ Osim.Net.Expect 16; Osim.Net.Send "/bin/sh\000" ] } ]
-       ~main:"/sbin/tcpd" ())
+  @@ fun () ->
+  setup
+    ~programs:[ tcpwrap_exe (); Common.trivial "/bin/sh" ]
+    ~incoming:
+      [ 421,
+        { Osim.Net.actor_host = "intruder";
+          script = [ Osim.Net.Expect 16; Osim.Net.Send "/bin/sh\000" ] } ]
+    ~main:"/sbin/tcpd" ()
 
 let scenarios =
   [ pwsteal; lodeight; mytob; vundo; winupdate; mydoom; phatbot; sendmail;

@@ -6,4 +6,4 @@
     Windows-update.com, W32/MyDoom.B, Phatbot, the Sendmail distribution
     Trojan and the TCP Wrappers Trojan. *)
 
-val scenarios : Scenario.t list
+val scenarios : Scenario.spec list

@@ -1,19 +1,10 @@
 let groups =
-  [ "table1", "Execution patterns of malicious code", Characterize.scenarios;
-    "table4", "Micro benchmarks - Execution Flow", Micro_exec.scenarios;
-    "table5", "Micro benchmarks - Resource Abuse", Micro_fork.scenarios;
-    "table6", "Micro benchmarks - Information Flow", Micro_flow.scenarios;
-    "table7", "Trusted programs", Trusted.scenarios;
-    "table8", "Real exploits", Exploits.scenarios;
-    "macro", "Macro benchmarks", Macro.scenarios;
-    "extensions", "Future-work extensions (Section 10)",
-    Extensions.scenarios;
-    "dormant", "Dormant trojans (trigger-gated payloads)",
-    Dormant.scenarios ]
+  List.map
+    (fun (id, title, sps) -> id, title, List.map Scenario.resolve sps)
+    Registry.groups
 
 let all = List.concat_map (fun (_, _, scs) -> scs) groups
 
-let find name =
-  List.find_opt (fun (sc : Scenario.t) -> String.equal sc.sc_name name) all
+let find = Registry.find
 
 let names = List.map (fun (sc : Scenario.t) -> sc.sc_name) all

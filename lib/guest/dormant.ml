@@ -101,6 +101,7 @@ let payload_range (img : Binary.Image.t) =
    exfiltrates the hard-coded secret database to a hard-coded
    collector; a disarmed or never-armed one exits silently. *)
 let sleeper_exe =
+  Memo.once @@ fun () ->
   let u =
     create ~path:"/bin/slpd" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
@@ -163,22 +164,28 @@ let sleeper_exe =
   hlt u;
   finalize u
 
-let sleeper_payload = payload_range sleeper_exe
+let sleeper_payload () = payload_range (sleeper_exe ())
+
+let sleeper_setup script =
+  Hth.Session.setup
+    ~programs:[ sleeper_exe () ]
+    ~files:[ secret_file, secret_data ]
+    ~hosts:Common.all_hosts
+    ~servers:
+      [ fst Common.evil_host, exfil_port,
+        { Osim.Net.actor_host = fst Common.evil_host; script = [] } ]
+    ~incoming:[ trigger_port, { Osim.Net.actor_host = "attacker"; script } ]
+    ~main:"/bin/slpd" ()
 
 let sleeper_daemon ~name ~descr ~expected ~script =
-  Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup
-       ~programs:[ sleeper_exe ]
-       ~files:[ secret_file, secret_data ]
-       ~hosts:Common.all_hosts
-       ~servers:
-         [ fst Common.evil_host, exfil_port,
-           { Osim.Net.actor_host = fst Common.evil_host; script = [] } ]
-       ~incoming:[ trigger_port, { Osim.Net.actor_host = "attacker"; script } ]
-       ~main:"/bin/slpd" ())
+  Scenario.make ~name ~group ~descr ~expected (sleeper_setup script)
 
 let sleeper_scenarios =
   let open Osim.Net in
+  let sleeper_daemon ~name ~descr ~expected ~script =
+    Scenario.define ~name ~group ~descr ~expected (fun () ->
+        sleeper_setup script)
+  in
   [ sleeper_daemon ~name:"sleeper daemon idle"
       ~descr:"daemon fed only chatter: the magic sequence never arrives, \
               the armed path stays cold"
@@ -213,6 +220,7 @@ let defuse_file = "/etc/defused"
 let bomb_out = "/tmp/.bombed"
 
 let bomb_exe =
+  Memo.once @@ fun () ->
   let u =
     create ~path:"/bin/lbomb" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
@@ -272,12 +280,12 @@ let bomb_exe =
   hlt u;
   finalize u
 
-let bomb_payload = payload_range bomb_exe
+let bomb_payload () = payload_range (bomb_exe ())
 
 let logic_bomb ~name ~descr ~expected ~hosts ~files =
-  Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup ~programs:[ bomb_exe ] ~files ~hosts
-       ~main:"/bin/lbomb" ())
+  Scenario.define ~name ~group ~descr ~expected @@ fun () ->
+  Hth.Session.setup ~programs:[ bomb_exe () ] ~files ~hosts
+    ~main:"/bin/lbomb" ()
 
 let bomb_scenarios =
   [ logic_bomb ~name:"logic bomb idle"
@@ -318,6 +326,7 @@ let word_of s =
   lor (Char.code s.[3] lsl 24)
 
 let worm_exe =
+  Memo.once @@ fun () ->
   let u =
     create ~path:"/bin/worm" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
@@ -361,16 +370,16 @@ let worm_exe =
   hlt u;
   finalize u
 
-let worm_payload = payload_range worm_exe
+let worm_payload () = payload_range (worm_exe ())
 
 let worm_pair ~name ~descr ~expected ~script =
-  Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup ~programs:[ worm_exe ]
-       ~hosts:(Common.all_hosts @ [ victim_host ])
-       ~servers:
-         [ fst victim_host, worm_port,
-           { Osim.Net.actor_host = fst victim_host; script } ]
-       ~main:"/bin/worm" ())
+  Scenario.define ~name ~group ~descr ~expected @@ fun () ->
+  Hth.Session.setup ~programs:[ worm_exe () ]
+    ~hosts:(Common.all_hosts @ [ victim_host ])
+    ~servers:
+      [ fst victim_host, worm_port,
+        { Osim.Net.actor_host = fst victim_host; script } ]
+    ~main:"/bin/worm" ()
 
 let worm_scenarios =
   let open Osim.Net in
@@ -406,6 +415,7 @@ let update_image = "MZ\x90dormant-update-image-payload!"
 let update_drop = "/usr/bin/.helper"
 
 let update_exe =
+  Memo.once @@ fun () ->
   let u =
     create ~needed:[ Libc.path ] ~path:"/bin/updcl"
       ~kind:Binary.Image.Executable ~base:Common.exe_base ()
@@ -457,18 +467,18 @@ let update_exe =
   hlt u;
   finalize u
 
-let update_payload = payload_range update_exe
+let update_payload () = payload_range (update_exe ())
 
 let update_client ~name ~descr ~expected ~script =
-  Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup
-       ~programs:[ update_exe; Libc.image () ]
-       ~hosts:(Common.all_hosts @ [ mirror_host ])
-       ~servers:
-         [ fst mirror_host, update_port,
-           { Osim.Net.actor_host = fst mirror_host; script } ]
-       ~argv:[ "/bin/updcl"; fst mirror_host ]
-       ~main:"/bin/updcl" ())
+  Scenario.define ~name ~group ~descr ~expected @@ fun () ->
+  Hth.Session.setup
+    ~programs:[ update_exe (); Libc.image () ]
+    ~hosts:(Common.all_hosts @ [ mirror_host ])
+    ~servers:
+      [ fst mirror_host, update_port,
+        { Osim.Net.actor_host = fst mirror_host; script } ]
+    ~argv:[ "/bin/updcl"; fst mirror_host ]
+    ~main:"/bin/updcl" ()
 
 let update_scenarios =
   let open Osim.Net in

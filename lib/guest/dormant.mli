@@ -34,15 +34,16 @@ val trigger_delay : int
 
 (** Armed-path address ranges [(first, past-last)) of each family's
     program, from the images' [payload] / [payload_end] exports — the
-    hot/cold profile assertions check executed blocks against these. *)
+    hot/cold profile assertions check executed blocks against these.
+    Each builds (once) the family's program image. *)
 
-val sleeper_payload : int * int
+val sleeper_payload : unit -> int * int
 
-val bomb_payload : int * int
+val bomb_payload : unit -> int * int
 
-val worm_payload : int * int
+val worm_payload : unit -> int * int
 
-val update_payload : int * int
+val update_payload : unit -> int * int
 
 (** [sleeper_daemon ~name ~descr ~expected ~script] is a sleeper-daemon
     scenario against a custom attacker script — the qcheck no-false-
@@ -52,4 +53,4 @@ val sleeper_daemon :
   script:Osim.Net.step list -> Scenario.t
 
 (** The twelve corpus scenarios (four families x three modes). *)
-val scenarios : Scenario.t list
+val scenarios : Scenario.spec list

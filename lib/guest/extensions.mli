@@ -8,4 +8,4 @@
       user} named — invisible to the name-origin matrix, caught by
       content inspection. *)
 
-val scenarios : Scenario.t list
+val scenarios : Scenario.spec list

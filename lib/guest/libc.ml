@@ -4,7 +4,8 @@ let path = "/lib/libc.so"
 
 let base = 0x40000
 
-let build () =
+let image =
+  Memo.once @@ fun () ->
   let u = create ~path ~kind:Binary.Image.Shared_object ~base () in
   (* ---------------- data ---------------- *)
   asciz u "__hosts_path" "/etc/hosts.db";
@@ -98,12 +99,3 @@ let build () =
   ret u;
 
   finalize u
-
-(* Built eagerly at module init (assembly is microseconds): a [lazy]
-   here would be forced from whichever domain first touches the corpus,
-   and concurrent forcing across fleet workers can raise
-   [Lazy.Undefined].  Eager init happens in the main domain before any
-   worker exists. *)
-let cached = build ()
-
-let image () = cached

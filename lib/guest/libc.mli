@@ -21,5 +21,6 @@ val path : string
 
 val base : int
 
-(** The assembled, installable image. *)
+(** The assembled, installable image, built on the first call (from any
+    domain) and shared by every later one. *)
 val image : unit -> Binary.Image.t

@@ -36,14 +36,14 @@ let pwsafe_body u ~exfiltrate =
   Runtime.sys_exit u 0;
   hlt u
 
-let pwsafe_exe =
+let pwsafe_exe () =
   let u = create ~path:"/usr/bin/pwsafe" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
   pwsafe_body u ~exfiltrate:false;
   finalize u
 
-let pwunsafe_exe =
+let pwunsafe_exe () =
   let u = create ~path:"/usr/bin/pwsafe" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -51,24 +51,26 @@ let pwunsafe_exe =
   finalize u
 
 let pwsafe =
-  Scenario.make ~name:"pwsafe (clean)" ~group
+  Scenario.define ~name:"pwsafe (clean)" ~group
     ~descr:"password manager prints the database to stdout"
     ~expected:benign
-    (setup ~programs:[ pwsafe_exe ] ~files:[ db_path, db_content ]
-       ~argv:[ "/usr/bin/pwsafe"; "--exportdb" ]
-       ~main:"/usr/bin/pwsafe" ())
+  @@ fun () ->
+  setup ~programs:[ pwsafe_exe () ] ~files:[ db_path, db_content ]
+    ~argv:[ "/usr/bin/pwsafe"; "--exportdb" ]
+    ~main:"/usr/bin/pwsafe" ()
 
 let pwunsafe =
-  Scenario.make ~name:"pwsafe (trojaned)" ~group
+  Scenario.define ~name:"pwsafe (trojaned)" ~group
     ~descr:"also sends the database to a hard-coded remote host"
     ~expected:high
-    (setup ~programs:[ pwunsafe_exe ] ~files:[ db_path, db_content ]
-       ~hosts:Common.all_hosts
-       ~servers:
-         [ fst Common.evil_host, 40400,
-           { Osim.Net.actor_host = fst Common.evil_host; script = [] } ]
-       ~argv:[ "/usr/bin/pwsafe"; "--exportdb" ]
-       ~main:"/usr/bin/pwsafe" ())
+  @@ fun () ->
+  setup ~programs:[ pwunsafe_exe () ] ~files:[ db_path, db_content ]
+    ~hosts:Common.all_hosts
+    ~servers:
+      [ fst Common.evil_host, 40400,
+        { Osim.Net.actor_host = fst Common.evil_host; script = [] } ]
+    ~argv:[ "/usr/bin/pwsafe"; "--exportdb" ]
+    ~main:"/usr/bin/pwsafe" ()
 
 (* ---------------- mw ---------------- *)
 (* The dictionary-lookup script: forks helper processes.  The paper
@@ -95,18 +97,20 @@ let mw_exe ~children =
   finalize u
 
 let mw =
-  Scenario.make ~name:"mw2.2.1 (clean)" ~group
+  Scenario.define ~name:"mw2.2.1 (clean)" ~group
     ~descr:"dictionary lookup forks two helpers" ~expected:benign
-    (setup ~programs:[ mw_exe ~children:2 ] ~max_ticks:100_000
-       ~argv:[ "/usr/bin/perl"; "mw2.2.1"; "tatterdemalion" ]
-       ~main:"/usr/bin/perl" ())
+  @@ fun () ->
+  setup ~programs:[ mw_exe ~children:2 ] ~max_ticks:100_000
+    ~argv:[ "/usr/bin/perl"; "mw2.2.1"; "tatterdemalion" ]
+    ~main:"/usr/bin/perl" ()
 
 let mw_trojaned =
-  Scenario.make ~name:"mw2.2.1 (trojaned)" ~group
+  Scenario.define ~name:"mw2.2.1 (trojaned)" ~group
     ~descr:"modified script forks more than 20 children" ~expected:medium
-    (setup ~programs:[ mw_exe ~children:24 ] ~max_ticks:200_000
-       ~argv:[ "/usr/bin/perl"; "mw2.2.1"; "tatterdemalion" ]
-       ~main:"/usr/bin/perl" ())
+  @@ fun () ->
+  setup ~programs:[ mw_exe ~children:24 ] ~max_ticks:200_000
+    ~argv:[ "/usr/bin/perl"; "mw2.2.1"; "tatterdemalion" ]
+    ~main:"/usr/bin/perl" ()
 
 (* ---------------- Tic Tac Toe ---------------- *)
 let ttt_body u ~dropper =
@@ -140,16 +144,18 @@ let ttt_exe ~dropper =
   finalize u
 
 let ttt =
-  Scenario.make ~name:"Tic Tac Toe (clean)" ~group
+  Scenario.define ~name:"Tic Tac Toe (clean)" ~group
     ~descr:"console game: stdin moves, stdout board" ~expected:benign
-    (setup ~programs:[ ttt_exe ~dropper:false ] ~user_input:[ "5\n" ]
-       ~main:"/usr/games/ttt" ())
+  @@ fun () ->
+  setup ~programs:[ ttt_exe ~dropper:false ] ~user_input:[ "5\n" ]
+    ~main:"/usr/games/ttt" ()
 
 let ttt_trojaned =
-  Scenario.make ~name:"Tic Tac Toe (trojaned)" ~group
+  Scenario.define ~name:"Tic Tac Toe (trojaned)" ~group
     ~descr:"drops a hard-coded payload into a file and executes it"
     ~expected:high
-    (setup ~programs:[ ttt_exe ~dropper:true ] ~user_input:[ "5\n" ]
-       ~main:"/usr/games/ttt" ())
+  @@ fun () ->
+  setup ~programs:[ ttt_exe ~dropper:true ] ~user_input:[ "5\n" ]
+    ~main:"/usr/games/ttt" ()
 
 let scenarios = [ pwsafe; pwunsafe; mw; mw_trojaned; ttt; ttt_trojaned ]

@@ -11,4 +11,4 @@
       with ENOEXEC — the dropped file is not a valid image — exactly as
       in the paper's footnote 9). *)
 
-val scenarios : Scenario.t list
+val scenarios : Scenario.spec list

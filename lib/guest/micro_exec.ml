@@ -3,7 +3,7 @@ open Asm
 let group = "table4"
 
 (* execve a program whose name arrived in argv[1] *)
-let user_input_exe =
+let user_input_exe () =
   let u = create ~path:"/bin/exec_user" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -16,16 +16,17 @@ let user_input_exe =
   finalize u
 
 let user_input =
-  Scenario.make ~name:"User input" ~group
+  Scenario.define ~name:"User input" ~group
     ~descr:"execve of a program named on the command line"
     ~expected:Scenario.Benign
-    (Hth.Session.setup
-       ~programs:[ user_input_exe; Common.trivial "/bin/true" ]
-       ~argv:[ "/bin/exec_user"; "/bin/true" ]
-       ~main:"/bin/exec_user" ())
+  @@ fun () ->
+  Hth.Session.setup
+    ~programs:[ user_input_exe (); Common.trivial "/bin/true" ]
+    ~argv:[ "/bin/exec_user"; "/bin/true" ]
+    ~main:"/bin/exec_user" ()
 
 (* execve a hard-coded program name *)
-let hardcode_exe =
+let hardcode_exe () =
   let u = create ~path:"/bin/exec_hard" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -37,14 +38,15 @@ let hardcode_exe =
   finalize u
 
 let hardcode =
-  Scenario.make ~name:"Hardcode" ~group
+  Scenario.define ~name:"Hardcode" ~group
     ~descr:"execve of a hard-coded program name"
     ~expected:(Scenario.Malicious Secpert.Severity.Low)
-    (Hth.Session.setup ~programs:[ hardcode_exe; Common.trivial "/bin/true" ]
-       ~main:"/bin/exec_hard" ())
+  @@ fun () ->
+  Hth.Session.setup ~programs:[ hardcode_exe (); Common.trivial "/bin/true" ]
+    ~main:"/bin/exec_hard" ()
 
 (* execve a program name received over a hard-coded socket *)
-let remote_exe =
+let remote_exe () =
   let u = create ~path:"/bin/exec_remote" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -61,21 +63,22 @@ let remote_exe =
   finalize u
 
 let remote =
-  Scenario.make ~name:"Remote execve" ~group
+  Scenario.define ~name:"Remote execve" ~group
     ~descr:"execve of a program name received from a remote attacker"
     ~expected:(Scenario.Malicious Secpert.Severity.High)
-    (Hth.Session.setup
-       ~programs:[ remote_exe; Common.trivial "/bin/true" ]
-       ~hosts:Common.all_hosts
-       ~servers:
-         [ ( fst Common.evil_host, 4000,
-             { Osim.Net.actor_host = fst Common.evil_host;
-               script = [ Osim.Net.Send "/bin/true\000"; Osim.Net.Close ] } )
-         ]
-       ~main:"/bin/exec_remote" ())
+  @@ fun () ->
+  Hth.Session.setup
+    ~programs:[ remote_exe (); Common.trivial "/bin/true" ]
+    ~hosts:Common.all_hosts
+    ~servers:
+      [ ( fst Common.evil_host, 4000,
+          { Osim.Net.actor_host = fst Common.evil_host;
+            script = [ Osim.Net.Send "/bin/true\000"; Osim.Net.Close ] } )
+      ]
+    ~main:"/bin/exec_remote" ()
 
 (* hard-coded execve executed late and rarely *)
-let infrequent_exe =
+let infrequent_exe () =
   let u = create ~path:"/bin/exec_rare" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -88,11 +91,12 @@ let infrequent_exe =
   finalize u
 
 let infrequent =
-  Scenario.make ~name:"Infrequent execve" ~group
+  Scenario.define ~name:"Infrequent execve" ~group
     ~descr:"hard-coded execve in code that runs rarely, late in execution"
     ~expected:(Scenario.Malicious Secpert.Severity.Medium)
-    (Hth.Session.setup
-       ~programs:[ infrequent_exe; Common.trivial "/bin/true" ]
-       ~main:"/bin/exec_rare" ())
+  @@ fun () ->
+  Hth.Session.setup
+    ~programs:[ infrequent_exe (); Common.trivial "/bin/true" ]
+    ~main:"/bin/exec_rare" ()
 
 let scenarios = [ user_input; hardcode; remote; infrequent ]

@@ -5,4 +5,4 @@
     in rarely-executed late code (Medium), received from a remote socket
     (High). *)
 
-val scenarios : Scenario.t list
+val scenarios : Scenario.spec list

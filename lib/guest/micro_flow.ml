@@ -188,7 +188,7 @@ let send_actor host payload : Osim.Net.actor =
 
 let passive_actor host : Osim.Net.actor = { actor_host = host; script = [] }
 
-let scenario ~name ~descr ~src ~dst ~expected =
+let setup ~src ~dst =
   let prog = "/bin/flow" in
   let image = gen ~prog ~src ~dst in
   (* argv slots: 1 = source name if user-given, 2 = destination name *)
@@ -255,11 +255,13 @@ let scenario ~name ~descr ~src ~dst ~expected =
     image :: (if List.mem Libc.path image.needed then [ Libc.image () ]
               else [])
   in
-  Scenario.make ~name ~group ~descr ~expected
-    (Hth.Session.setup ~programs ~files ~hosts:Common.all_hosts ~servers
-       ~incoming
-       ~argv:[ prog; argv1; argv2 ]
-       ~main:prog ())
+  Hth.Session.setup ~programs ~files ~hosts:Common.all_hosts ~servers
+    ~incoming
+    ~argv:[ prog; argv1; argv2 ]
+    ~main:prog ()
+
+let scenario ~name ~descr ~src ~dst ~expected =
+  Scenario.define ~name ~group ~descr ~expected (fun () -> setup ~src ~dst)
 
 (* ------------------------------------------------------------------ *)
 (* The Table 6 rows                                                    *)

@@ -14,4 +14,4 @@ type name_src =
   | Hardwired of string  (** .rodata: BINARY *)
   | From_remote  (** fetched from the control server: SOCKET *)
 
-val scenarios : Scenario.t list
+val scenarios : Scenario.spec list

@@ -3,7 +3,7 @@ open Asm
 let group = "table5"
 
 (* One parent forks [n] children; each child loops, sleeping. *)
-let loop_forker_exe =
+let loop_forker_exe () =
   let u = create ~path:"/bin/loop_forker" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -28,14 +28,15 @@ let loop_forker_exe =
   finalize u
 
 let loop_forker =
-  Scenario.make ~name:"loop forker" ~group
+  Scenario.define ~name:"loop forker" ~group
     ~descr:"main thread forks 12 children that loop and sleep"
     ~expected:(Scenario.Malicious Secpert.Severity.Medium)
-    (Hth.Session.setup ~programs:[ loop_forker_exe ] ~max_ticks:100_000
-       ~main:"/bin/loop_forker" ())
+  @@ fun () ->
+  Hth.Session.setup ~programs:[ loop_forker_exe () ] ~max_ticks:100_000
+    ~main:"/bin/loop_forker" ()
 
 (* Every process forks in a loop: 2^4 process tree. *)
-let tree_forker_exe =
+let tree_forker_exe () =
   let u = create ~path:"/bin/tree_forker" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -52,10 +53,11 @@ let tree_forker_exe =
   finalize u
 
 let tree_forker =
-  Scenario.make ~name:"tree forker" ~group
+  Scenario.define ~name:"tree forker" ~group
     ~descr:"parent and child both keep forking (2^4 processes)"
     ~expected:(Scenario.Malicious Secpert.Severity.Medium)
-    (Hth.Session.setup ~programs:[ tree_forker_exe ] ~max_ticks:100_000
-       ~main:"/bin/tree_forker" ())
+  @@ fun () ->
+  Hth.Session.setup ~programs:[ tree_forker_exe () ] ~max_ticks:100_000
+    ~main:"/bin/tree_forker" ()
 
 let scenarios = [ loop_forker; tree_forker ]

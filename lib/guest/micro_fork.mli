@@ -5,4 +5,4 @@
     growing a process tree.  Both must trip the clone count (Low) and
     clone rate (Medium) rules. *)
 
-val scenarios : Scenario.t list
+val scenarios : Scenario.spec list

@@ -14,6 +14,22 @@ let make ~name ~group ~descr ~expected setup =
   { sc_name = name; sc_group = group; sc_descr = descr; sc_setup = setup;
     sc_expected = expected }
 
+type spec = {
+  sp_name : string;
+  sp_group : string;
+  sp_descr : string;
+  sp_expected : expected;
+  sp_resolve : unit -> t;
+}
+
+let define ~name ~group ~descr ~expected build =
+  { sp_name = name; sp_group = group; sp_descr = descr;
+    sp_expected = expected;
+    sp_resolve =
+      Memo.once (fun () -> make ~name ~group ~descr ~expected (build ())) }
+
+let resolve sp = sp.sp_resolve ()
+
 let expected_label = function
   | Benign -> "benign"
   | Malicious s -> Fmt.str "suspicious[%s]" (Secpert.Severity.label s)

@@ -20,6 +20,30 @@ val make :
   name:string -> group:string -> descr:string -> expected:expected ->
   Hth.Session.setup -> t
 
+(** A corpus entry before it is built: its metadata as plain data, and
+    a memoised function that builds its images and setup.  Listing a
+    corpus reads specs only; running one entry builds that entry
+    alone. *)
+type spec = private {
+  sp_name : string;
+  sp_group : string;
+  sp_descr : string;
+  sp_expected : expected;
+  sp_resolve : unit -> t;  (** see {!resolve} *)
+}
+
+(** [define ~name ~group ~descr ~expected build] is a spec whose setup
+    is [build ()], called on first {!resolve}. *)
+val define :
+  name:string -> group:string -> descr:string -> expected:expected ->
+  (unit -> Hth.Session.setup) -> spec
+
+(** [resolve sp] builds [sp]'s scenario on the first call, from any
+    domain or thread, and returns the physically same value on every
+    later call — so engines' link caches, keyed by physical equality of
+    the program list, keep hitting across lookups. *)
+val resolve : spec -> t
+
 val expected_label : expected -> string
 
 (** [matches expected verdict] — exact severity agreement (the tables

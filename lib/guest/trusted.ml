@@ -23,7 +23,7 @@ let cat_body u ~name_lbl =
   Runtime.sys_close u ~fd:(mlbl "fd")
 
 (* ---------------- ls ---------------- *)
-let ls_exe =
+let ls_exe () =
   let u = create ~path:"/bin/ls" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -39,14 +39,15 @@ let ls_exe =
   finalize u
 
 let ls =
-  Scenario.make ~name:"ls" ~group
+  Scenario.define ~name:"ls" ~group
     ~descr:"lists '.' (hard-coded name, but nothing bad done with it)"
     ~expected:benign
-    (setup ~programs:[ ls_exe ] ~files:[ ".", "DataFlow.C\nmakefile\n" ]
-       ~main:"/bin/ls" ())
+  @@ fun () ->
+  setup ~programs:[ ls_exe () ] ~files:[ ".", "DataFlow.C\nmakefile\n" ]
+    ~main:"/bin/ls" ()
 
 (* ---------------- column a b c ---------------- *)
-let column_exe =
+let column_exe () =
   let u = create ~path:"/usr/bin/column" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -67,18 +68,19 @@ let column_exe =
   finalize u
 
 let column =
-  Scenario.make ~name:"column" ~group
+  Scenario.define ~name:"column" ~group
     ~descr:"columnates three user-named files to stdout" ~expected:benign
-    (setup ~programs:[ column_exe ]
-       ~files:[ "a", "alpha\n"; "b", "beta\n"; "c", "gamma\n" ]
-       ~argv:[ "/usr/bin/column"; "a"; "b"; "c" ]
-       ~main:"/usr/bin/column" ())
+  @@ fun () ->
+  setup ~programs:[ column_exe () ]
+    ~files:[ "a", "alpha\n"; "b", "beta\n"; "c", "gamma\n" ]
+    ~argv:[ "/usr/bin/column"; "a"; "b"; "c" ]
+    ~main:"/usr/bin/column" ()
 
 (* ---------------- make ---------------- *)
 (* Reads "makefile" (hard-coded).  With argv[1] = "clean" it execs
    /bin/sh; with the object file missing it execs g++; otherwise it does
    nothing — the three behaviours of Section 8.2.3. *)
-let make_exe =
+let make_exe () =
   let u = create ~path:"/usr/bin/make" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -130,35 +132,39 @@ let make_exe =
   finalize u
 
 let make_progs =
-  [ make_exe; Common.trivial "/bin/sh"; Common.trivial "/usr/bin/g++" ]
+  Memo.once @@ fun () ->
+  [ make_exe (); Common.trivial "/bin/sh"; Common.trivial "/usr/bin/g++" ]
 
 let make_built =
-  Scenario.make ~name:"make (built)" ~group
+  Scenario.define ~name:"make (built)" ~group
     ~descr:"everything up to date: reads makefile, runs nothing"
     ~expected:benign
-    (setup ~programs:make_progs
-       ~files:[ "makefile", "all: harrier.o\n"; "harrier.o", "\x7fobj" ]
-       ~main:"/usr/bin/make" ())
+  @@ fun () ->
+  setup ~programs:(make_progs ())
+    ~files:[ "makefile", "all: harrier.o\n"; "harrier.o", "\x7fobj" ]
+    ~main:"/usr/bin/make" ()
 
 let make_clean =
-  Scenario.make ~name:"make clean" ~group
+  Scenario.define ~name:"make clean" ~group
     ~descr:"runs /bin/sh with a hard-coded path (paper: Low warning)"
     ~expected:low
-    (setup ~programs:make_progs
-       ~files:[ "makefile", "all: harrier.o\n"; "harrier.o", "\x7fobj" ]
-       ~argv:[ "/usr/bin/make"; "clean" ]
-       ~main:"/usr/bin/make" ())
+  @@ fun () ->
+  setup ~programs:(make_progs ())
+    ~files:[ "makefile", "all: harrier.o\n"; "harrier.o", "\x7fobj" ]
+    ~argv:[ "/usr/bin/make"; "clean" ]
+    ~main:"/usr/bin/make" ()
 
 let make_unbuilt =
-  Scenario.make ~name:"make (unbuilt)" ~group
+  Scenario.define ~name:"make (unbuilt)" ~group
     ~descr:"runs g++ found via hard-coded path (paper: Low warnings)"
     ~expected:low
-    (setup ~programs:make_progs
-       ~files:[ "makefile", "all: harrier.o\n" ]
-       ~main:"/usr/bin/make" ())
+  @@ fun () ->
+  setup ~programs:(make_progs ())
+    ~files:[ "makefile", "all: harrier.o\n" ]
+    ~main:"/usr/bin/make" ()
 
 (* ---------------- g++ ---------------- *)
-let gxx_exe =
+let gxx_exe () =
   let u = create ~path:"/usr/bin/g++" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -192,17 +198,18 @@ let gxx_exe =
   finalize u
 
 let gxx =
-  Scenario.make ~name:"g++" ~group
+  Scenario.define ~name:"g++" ~group
     ~descr:"compiler driver execs cc1plus and collect2 (paper: Low \
             warnings)"
     ~expected:low
-    (setup
-       ~programs:
-         [ gxx_exe; Common.trivial "/usr/libexec/cc1plus";
-           Common.trivial "/usr/libexec/collect2" ]
-       ~files:[ "test.cpp", "int main(){}\n" ]
-       ~argv:[ "/usr/bin/g++"; "test.cpp" ]
-       ~main:"/usr/bin/g++" ())
+  @@ fun () ->
+  setup
+    ~programs:
+      [ gxx_exe (); Common.trivial "/usr/libexec/cc1plus";
+        Common.trivial "/usr/libexec/collect2" ]
+    ~files:[ "test.cpp", "int main(){}\n" ]
+    ~argv:[ "/usr/bin/g++"; "test.cpp" ]
+    ~main:"/usr/bin/g++" ()
 
 (* ---------------- simple user-file filters ---------------- *)
 let filter_exe path =
@@ -219,31 +226,34 @@ let filter_exe path =
   finalize u
 
 let awk =
-  Scenario.make ~name:"awk" ~group
+  Scenario.define ~name:"awk" ~group
     ~descr:"filters a user-named file to stdout" ~expected:benign
-    (setup ~programs:[ filter_exe "/usr/bin/awk" ]
-       ~files:[ "syscall_names.C", "#ifdef SYS_open\n#endif\n" ]
-       ~argv:[ "/usr/bin/awk"; "syscall_names.C" ]
-       ~main:"/usr/bin/awk" ())
+  @@ fun () ->
+  setup ~programs:[ filter_exe "/usr/bin/awk" ]
+    ~files:[ "syscall_names.C", "#ifdef SYS_open\n#endif\n" ]
+    ~argv:[ "/usr/bin/awk"; "syscall_names.C" ]
+    ~main:"/usr/bin/awk" ()
 
 let tail =
-  Scenario.make ~name:"tail" ~group
+  Scenario.define ~name:"tail" ~group
     ~descr:"prints the end of a user-named file" ~expected:benign
-    (setup ~programs:[ filter_exe "/usr/bin/tail" ]
-       ~files:[ "PinInstrumenter.C", "class PinInstrumenter {};\n" ]
-       ~argv:[ "/usr/bin/tail"; "PinInstrumenter.C" ]
-       ~main:"/usr/bin/tail" ())
+  @@ fun () ->
+  setup ~programs:[ filter_exe "/usr/bin/tail" ]
+    ~files:[ "PinInstrumenter.C", "class PinInstrumenter {};\n" ]
+    ~argv:[ "/usr/bin/tail"; "PinInstrumenter.C" ]
+    ~main:"/usr/bin/tail" ()
 
 let wc =
-  Scenario.make ~name:"wc" ~group
+  Scenario.define ~name:"wc" ~group
     ~descr:"counts a user-named file, prints to stdout" ~expected:benign
-    (setup ~programs:[ filter_exe "/usr/bin/wc" ]
-       ~files:[ "words.txt", "one two three\n" ]
-       ~argv:[ "/usr/bin/wc"; "words.txt" ]
-       ~main:"/usr/bin/wc" ())
+  @@ fun () ->
+  setup ~programs:[ filter_exe "/usr/bin/wc" ]
+    ~files:[ "words.txt", "one two three\n" ]
+    ~argv:[ "/usr/bin/wc"; "words.txt" ]
+    ~main:"/usr/bin/wc" ()
 
 (* ---------------- diff a b ---------------- *)
-let diff_exe =
+let diff_exe () =
   let u = create ~path:"/usr/bin/diff" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -261,19 +271,20 @@ let diff_exe =
   finalize u
 
 let diff =
-  Scenario.make ~name:"diff" ~group
+  Scenario.define ~name:"diff" ~group
     ~descr:"compares two user-named files, output to stdout"
     ~expected:benign
-    (setup ~programs:[ diff_exe ]
-       ~files:[ "old.txt", "aaa\n"; "new.txt", "bbb\n" ]
-       ~argv:[ "/usr/bin/diff"; "old.txt"; "new.txt" ]
-       ~main:"/usr/bin/diff" ())
+  @@ fun () ->
+  setup ~programs:[ diff_exe () ]
+    ~files:[ "old.txt", "aaa\n"; "new.txt", "bbb\n" ]
+    ~argv:[ "/usr/bin/diff"; "old.txt"; "new.txt" ]
+    ~main:"/usr/bin/diff" ()
 
 (* ---------------- pico ---------------- *)
 (* Reads user keystrokes and saves them to the user-named file; the 2006
    prototype mis-tagged this (Section 8.2.6) — complete tracking
    classifies it correctly. *)
-let pico_exe =
+let pico_exe () =
   let u = create ~path:"/usr/bin/pico" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -295,15 +306,16 @@ let pico_exe =
   finalize u
 
 let pico =
-  Scenario.make ~name:"pico" ~group
+  Scenario.define ~name:"pico" ~group
     ~descr:"editor saves typed text to a user-named file" ~expected:benign
-    (setup ~programs:[ pico_exe ]
-       ~user_input:[ "hello world\n" ]
-       ~argv:[ "/usr/bin/pico"; "a.txt" ]
-       ~main:"/usr/bin/pico" ())
+  @@ fun () ->
+  setup ~programs:[ pico_exe () ]
+    ~user_input:[ "hello world\n" ]
+    ~argv:[ "/usr/bin/pico"; "a.txt" ]
+    ~main:"/usr/bin/pico" ()
 
 (* ---------------- bc ---------------- *)
-let bc_exe =
+let bc_exe () =
   let u = create ~path:"/usr/bin/bc" ~kind:Binary.Image.Executable
       ~base:Common.exe_base ()
   in
@@ -317,15 +329,16 @@ let bc_exe =
   finalize u
 
 let bc =
-  Scenario.make ~name:"bc" ~group
+  Scenario.define ~name:"bc" ~group
     ~descr:"command-line calculator: stdin to stdout" ~expected:benign
-    (setup ~programs:[ bc_exe ] ~user_input:[ "1+2\n" ]
-       ~main:"/usr/bin/bc" ())
+  @@ fun () ->
+  setup ~programs:[ bc_exe () ] ~user_input:[ "1+2\n" ]
+    ~main:"/usr/bin/bc" ()
 
 (* ---------------- xeyes ---------------- *)
 (* Writes data that originates in X11 shared objects to the local X
    server socket — the paper's Low-severity false positives. *)
-let libx11 =
+let libx11 () =
   let u = create ~path:"/usr/lib/libX11.so"
       ~kind:Binary.Image.Shared_object ~base:Common.so_base ()
   in
@@ -336,7 +349,7 @@ let libx11 =
   ret u;
   finalize u
 
-let xeyes_exe =
+let xeyes_exe () =
   let u = create ~needed:[ "/usr/lib/libX11.so" ] ~path:"/usr/bin/xeyes"
       ~kind:Binary.Image.Executable ~base:Common.exe_base ()
   in
@@ -364,15 +377,16 @@ let xeyes_exe =
   finalize u
 
 let xeyes =
-  Scenario.make ~name:"xeyes" ~group
+  Scenario.define ~name:"xeyes" ~group
     ~descr:"X client sends libX11 data to the local X socket (paper: \
             Low false positives)"
     ~expected:low
-    (setup ~programs:[ xeyes_exe; libx11 ]
-       ~servers:
-         [ "LocalHost", 6000,
-           { Osim.Net.actor_host = "LocalHost"; script = [] } ]
-       ~main:"/usr/bin/xeyes" ())
+  @@ fun () ->
+  setup ~programs:[ xeyes_exe (); libx11 () ]
+    ~servers:
+      [ "LocalHost", 6000,
+        { Osim.Net.actor_host = "LocalHost"; script = [] } ]
+    ~main:"/usr/bin/xeyes" ()
 
 let scenarios =
   [ ls; column; make_built; make_clean; make_unbuilt; gxx; awk; pico; tail;

@@ -7,4 +7,4 @@
     warnings on trusted-but-not-well-behaved programs (hard-coded
     execve targets; library data written to a local X socket). *)
 
-val scenarios : Scenario.t list
+val scenarios : Scenario.spec list

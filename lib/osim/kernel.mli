@@ -39,8 +39,7 @@ val stack_top : int
     with EAGAIN, taming fork bombs); [fault] injects deterministic
     syscall faults (default {!Fault.none}) — every injection is counted
     under [osim.faults.injected.<kind>] and emitted as an [Obs.Trace]
-    "fault" event; [mem_pool] recycles guest address-space buffers
-    across sequential worlds (see {!recycle}). *)
+    "fault" event. *)
 val create :
   ?quantum:int ->
   ?max_procs:int ->
@@ -48,16 +47,10 @@ val create :
   ?hooks:Vm.Machine.hooks ->
   ?user_input:string list ->
   ?fault:Fault.plan ->
-  ?mem_pool:Vm.Machine.mem_pool ->
   fs:Fs.t ->
   net:Net.t ->
   unit ->
   t
-
-(** [recycle k] returns every process's address space to the memory
-    pool the kernel was created with (a no-op without one).  Call after
-    the final {!run}; the kernel must not be used afterwards. *)
-val recycle : t -> unit
 
 val fs : t -> Fs.t
 

@@ -90,6 +90,32 @@ let max_match = 258
 let hash_size = 1 lsl 15
 let max_chain = 64
 
+(* Match-finder tables, kept per domain and reused: a fresh 32K-word
+   [head] (and an input-sized [prev]) per call is a direct major-heap
+   allocation, and at a few calls per stored session it paces the major
+   GC.  A call takes the domain's tables out of their slot and puts them
+   back when done, so a second thread on the same domain that calls in
+   meanwhile just allocates its own.  [prev] needs no reset: a chain only
+   ever reaches positions inserted by the current call. *)
+type tables = { head : int array; mutable prev : int array }
+
+let tables_slot = Domain.DLS.new_key (fun () -> ref None)
+
+let with_tables n f =
+  let slot = Domain.DLS.get tables_slot in
+  let t =
+    match !slot with
+    | Some t ->
+      slot := None;
+      Array.fill t.head 0 hash_size (-1);
+      t
+    | None -> { head = Array.make hash_size (-1); prev = [||] }
+  in
+  if Array.length t.prev < n then t.prev <- Array.make n (-1);
+  let r = f t.head t.prev in
+  slot := Some t;
+  r
+
 let compress s =
   let n = String.length s in
   let out = Buffer.create ((n / 3) + 64) in
@@ -110,67 +136,65 @@ let compress s =
     let deb = dist_extra.(dc) in
     if deb > 0 then put bw (dist - dist_base.(dc)) deb
   in
-  if n >= min_match then begin
-    let head = Array.make hash_size (-1) in
-    let prev = Array.make n (-1) in
-    let hash i =
-      (Char.code (String.unsafe_get s i) lsl 10)
-      lxor (Char.code (String.unsafe_get s (i + 1)) lsl 5)
-      lxor Char.code (String.unsafe_get s (i + 2))
-      land (hash_size - 1)
-    in
-    let insert i =
-      let h = hash i in
-      prev.(i) <- head.(h);
-      head.(h) <- i
-    in
-    (* last position where a 3-byte hash still fits *)
-    let last_hash = n - min_match in
-    let i = ref 0 in
-    while !i < n do
-      if !i > last_hash then begin
-        emit_lit (String.unsafe_get s !i);
-        incr i
-      end
-      else begin
-        let limit = min max_match (n - !i) in
-        let best_len = ref 0 and best_dist = ref 0 in
-        let cand = ref head.(hash !i) in
-        let chain = ref max_chain in
-        while !cand >= 0 && !i - !cand <= win_size && !chain > 0 do
-          let l = ref 0 in
-          while
-            !l < limit
-            && String.unsafe_get s (!cand + !l)
-               = String.unsafe_get s (!i + !l)
-          do
-            incr l
-          done;
-          if !l > !best_len then begin
-            best_len := !l;
-            best_dist := !i - !cand
-          end;
-          cand := prev.(!cand);
-          decr chain
-        done;
-        if !best_len >= min_match then begin
-          emit_match !best_len !best_dist;
-          let stop = min (!i + !best_len) (last_hash + 1) in
-          let k = ref !i in
-          while !k < stop do
-            insert !k;
-            incr k
-          done;
-          i := !i + !best_len
-        end
-        else begin
-          emit_lit (String.unsafe_get s !i);
-          insert !i;
-          incr i
-        end
-      end
-    done
-  end
+  if n >= min_match then
+    with_tables n (fun head prev ->
+        let hash i =
+          (Char.code (String.unsafe_get s i) lsl 10)
+          lxor (Char.code (String.unsafe_get s (i + 1)) lsl 5)
+          lxor Char.code (String.unsafe_get s (i + 2))
+          land (hash_size - 1)
+        in
+        let insert i =
+          let h = hash i in
+          prev.(i) <- head.(h);
+          head.(h) <- i
+        in
+        (* last position where a 3-byte hash still fits *)
+        let last_hash = n - min_match in
+        let i = ref 0 in
+        while !i < n do
+          if !i > last_hash then begin
+            emit_lit (String.unsafe_get s !i);
+            incr i
+          end
+          else begin
+            let limit = min max_match (n - !i) in
+            let best_len = ref 0 and best_dist = ref 0 in
+            let cand = ref head.(hash !i) in
+            let chain = ref max_chain in
+            while !cand >= 0 && !i - !cand <= win_size && !chain > 0 do
+              let l = ref 0 in
+              while
+                !l < limit
+                && String.unsafe_get s (!cand + !l)
+                   = String.unsafe_get s (!i + !l)
+              do
+                incr l
+              done;
+              if !l > !best_len then begin
+                best_len := !l;
+                best_dist := !i - !cand
+              end;
+              cand := prev.(!cand);
+              decr chain
+            done;
+            if !best_len >= min_match then begin
+              emit_match !best_len !best_dist;
+              let stop = min (!i + !best_len) (last_hash + 1) in
+              let k = ref !i in
+              while !k < stop do
+                insert !k;
+                incr k
+              done;
+              i := !i + !best_len
+            end
+            else begin
+              emit_lit (String.unsafe_get s !i);
+              insert !i;
+              incr i
+            end
+          end
+        done)
   else String.iter emit_lit s;
   put bw lit_code.(256) lit_len.(256) (* end of block *);
   if bw.nbits > 0 then Buffer.add_char out (Char.unsafe_chr (bw.acc land 0xff));

@@ -11,7 +11,7 @@ type t = {
   mutable zf : bool;
   mutable sf : bool;
   mutable lt : bool;
-  mem : Bytes.t;
+  pages : Bytes.t array;  (* [n_pages] pages; see [zero_page] *)
   mutable segs : segment list;
   mutable cur_seg : segment;
       (* one-entry fetch cache: consecutive instructions execute from the
@@ -62,64 +62,37 @@ let mem_size = 0x100000
 
 exception Fault_exn of fault
 
-(* Recycling pool for the 1 MiB address-space buffers.  Allocating (and
-   faulting in) a megabyte per spawn dominates small-session setup, so
-   a caller that runs many sequential worlds hands the same pool to
-   every kernel and returns the buffers when a world is torn down.  A
-   pooled buffer is zeroed (create) or fully overwritten (clone) before
-   reuse, so guest-visible behaviour is identical to fresh allocation. *)
-type mem_pool = { mutable mp_free : Bytes.t list; mp_cap : int }
+(* Paged address space.  The 1 MiB space is 256 pages of 4 KiB (the
+   page size of [Harrier.Shadow]).  Every page starts as [zero_page], one
+   shared buffer that is never written, and is materialised on its first
+   write; reads index the page array with no check for the zero page.
+   So a process pays only for the pages it writes, and [clone] (fork)
+   copies only those. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+let n_pages = mem_size lsr page_bits
 
-let mem_pool ?(cap = 16) () = { mp_free = []; mp_cap = cap }
+let zero_page = Bytes.make page_size '\000'
 
-let pool_take p =
-  match p.mp_free with
-  | b :: rest ->
-    p.mp_free <- rest;
-    Some b
-  | [] -> None
-
-let fresh_mem = function
-  | None -> Bytes.make mem_size '\000'
-  | Some p ->
-    (match pool_take p with
-     | Some b ->
-       Bytes.fill b 0 mem_size '\000';
-       b
-     | None -> Bytes.make mem_size '\000')
-
-let copied_mem pool src =
-  match pool with
-  | None -> Bytes.copy src
-  | Some p ->
-    (match pool_take p with
-     | Some b ->
-       Bytes.blit src 0 b 0 mem_size;
-       b
-     | None -> Bytes.copy src)
-
-let recycle_mem p m =
-  (* membership check defends against double-recycling a machine, which
-     would hand one buffer to two future machines *)
-  if List.length p.mp_free < p.mp_cap && not (List.memq m.mem p.mp_free) then
-    p.mp_free <- m.mem :: p.mp_free
-
-let create ?hooks ?pool () =
+let create ?hooks () =
   let h = match hooks with Some h -> h | None -> no_hooks () in
   { regs = Array.make Isa.Reg.count 0; eip = 0; zf = false; sf = false;
-    lt = false; mem = fresh_mem pool; segs = []; cur_seg = no_seg;
-    status = Running; at_bb_start = true; h; retired = 0; n_insns = 0;
-    n_blocks = 0; n_fetch_hits = 0; n_fetch_misses = 0; n_decoded = 0 }
+    lt = false; pages = Array.make n_pages zero_page; segs = [];
+    cur_seg = no_seg; status = Running; at_bb_start = true; h; retired = 0;
+    n_insns = 0; n_blocks = 0; n_fetch_hits = 0; n_fetch_misses = 0;
+    n_decoded = 0 }
 
 let hooks m = m.h
 
 (* The clone starts with no unsettled counts: those stay with [m]. *)
-let clone ?pool m =
+let clone m =
   { regs = Array.copy m.regs; eip = m.eip; zf = m.zf; sf = m.sf; lt = m.lt;
-    mem = copied_mem pool m.mem; segs = m.segs; cur_seg = m.cur_seg;
-    status = m.status; at_bb_start = m.at_bb_start; h = m.h; retired = 0;
-    n_insns = 0; n_blocks = 0; n_fetch_hits = 0; n_fetch_misses = 0;
-    n_decoded = 0 }
+    pages = Array.map (fun p -> if p == zero_page then p else Bytes.copy p)
+        m.pages;
+    segs = m.segs; cur_seg = m.cur_seg; status = m.status;
+    at_bb_start = m.at_bb_start; h = m.h; retired = 0; n_insns = 0;
+    n_blocks = 0; n_fetch_hits = 0; n_fetch_misses = 0; n_decoded = 0 }
 
 let status m = m.status
 let set_status m s = m.status <- s
@@ -136,43 +109,102 @@ let set_reg m r v = m.regs.(Isa.Reg.index r) <- v land 0xFFFFFFFF
 let check_addr addr =
   if addr < 0 || addr >= mem_size then raise (Fault_exn (Bad_access addr))
 
+(* The page holding checked address [addr]. *)
+let[@inline] page m addr = Array.unsafe_get m.pages (addr lsr page_bits)
+
+(* The page holding checked address [addr], materialised for writing. *)
+let page_w m addr =
+  let i = addr lsr page_bits in
+  let p = Array.unsafe_get m.pages i in
+  if p != zero_page then p
+  else begin
+    let p = Bytes.make page_size '\000' in
+    Array.unsafe_set m.pages i p;
+    p
+  end
+
 let read_byte m addr =
   check_addr addr;
-  Char.code (Bytes.get m.mem addr)
+  Char.code (Bytes.unsafe_get (page m addr) (addr land page_mask))
 
 let write_byte m addr v =
   check_addr addr;
-  Bytes.set m.mem addr (Char.chr (v land 0xFF))
+  Bytes.unsafe_set (page_w m addr) (addr land page_mask)
+    (Char.unsafe_chr (v land 0xFF))
+
+(* A word whose page offset is past [page_size - 4] straddles two pages
+   and is moved a byte at a time, after both ends are checked. *)
+let straddles addr = addr land page_mask > page_size - 4
 
 let read_word m addr =
   check_addr addr;
   check_addr (addr + 3);
-  Int32.to_int (Bytes.get_int32_le m.mem addr) land 0xFFFFFFFF
+  if straddles addr then
+    read_byte m addr
+    lor (read_byte m (addr + 1) lsl 8)
+    lor (read_byte m (addr + 2) lsl 16)
+    lor (read_byte m (addr + 3) lsl 24)
+  else
+    Int32.to_int (Bytes.get_int32_le (page m addr) (addr land page_mask))
+    land 0xFFFFFFFF
 
 let write_word m addr v =
   check_addr addr;
   check_addr (addr + 3);
-  Bytes.set_int32_le m.mem addr (Int32.of_int (v land 0xFFFFFFFF))
+  if straddles addr then begin
+    write_byte m addr v;
+    write_byte m (addr + 1) (v lsr 8);
+    write_byte m (addr + 2) (v lsr 16);
+    write_byte m (addr + 3) (v lsr 24)
+  end
+  else
+    Bytes.set_int32_le (page_w m addr) (addr land page_mask)
+      (Int32.of_int (v land 0xFFFFFFFF))
+
+(* [spans addr len f] calls [f page_index page_offset done span] for
+   each page-bounded piece of [addr, addr + len), in address order. *)
+let spans addr len f =
+  let rec go a d =
+    if d < len then begin
+      let off = a land page_mask in
+      let n = min (len - d) (page_size - off) in
+      f (a lsr page_bits) off d n;
+      go (a + n) (d + n)
+    end
+  in
+  go addr 0
 
 let read_bytes m addr len =
   check_addr addr;
   if len > 0 then check_addr (addr + len - 1);
-  Bytes.sub_string m.mem addr len
+  let b = Bytes.create len in
+  spans addr len (fun i off d n -> Bytes.blit m.pages.(i) off b d n);
+  Bytes.unsafe_to_string b
 
 let write_string m addr s =
+  let len = String.length s in
   check_addr addr;
-  if String.length s > 0 then check_addr (addr + String.length s - 1);
-  Bytes.blit_string s 0 m.mem addr (String.length s)
+  if len > 0 then check_addr (addr + len - 1);
+  spans addr len (fun i off d n ->
+      Bytes.blit_string s d (page_w m (i lsl page_bits)) off n)
 
 let read_cstring m addr =
   check_addr addr;
-  let rec find i =
-    if i >= mem_size then i
-    else if Bytes.get m.mem i = '\000' then i
-    else find (i + 1)
+  (* first NUL at or after [a], or [mem_size] *)
+  let rec find a =
+    if a >= mem_size then a
+    else begin
+      let p = page m a in
+      let stop = (a lor page_mask) + 1 in
+      let rec scan a =
+        if a = stop then find a
+        else if Bytes.unsafe_get p (a land page_mask) = '\000' then a
+        else scan (a + 1)
+      in
+      scan a
+    end
   in
-  let stop = find addr in
-  Bytes.sub_string m.mem addr (stop - addr)
+  read_bytes m addr (find addr - addr)
 
 (* Per-image compiled-op tables, keyed by physical equality on the text
    array.  Linked images are interned per engine and shared by every

@@ -60,33 +60,20 @@ type hooks = {
 
 val no_hooks : unit -> hooks
 
-(** Size of the flat per-process address space (1 MiB). *)
+(** Size of the per-process address space (1 MiB). *)
 val mem_size : int
 
-(** A recycling pool for address-space buffers.  [create]/[clone] draw
-    from the pool when one is supplied (zeroing or overwriting the
-    buffer, so behaviour is indistinguishable from fresh allocation);
-    {!recycle_mem} returns a dead machine's buffer.  For callers that
-    build many sequential worlds — allocating the 1 MiB space dominates
-    small-machine setup. *)
-type mem_pool
-
-(** [mem_pool ?cap ()] is an empty pool retaining at most [cap]
-    (default 16) free buffers. *)
-val mem_pool : ?cap:int -> unit -> mem_pool
-
-val create : ?hooks:hooks -> ?pool:mem_pool -> unit -> t
+(** [create ?hooks ()] is a machine whose whole address space reads as
+    zero.  Memory is paged (4 KiB pages): a page is allocated on its
+    first write, so creation costs no more than the page table. *)
+val create : ?hooks:hooks -> unit -> t
 
 val hooks : t -> hooks
 
-(** [clone ?pool m] duplicates the full architectural state ([fork]);
-    text segments and hooks are shared. *)
-val clone : ?pool:mem_pool -> t -> t
-
-(** [recycle_mem pool m] returns [m]'s memory buffer to [pool].  [m]
-    must never be used again: the buffer will be handed to a future
-    machine.  Recycling the same machine twice is a no-op. *)
-val recycle_mem : mem_pool -> t -> unit
+(** [clone m] duplicates the full architectural state ([fork]); text
+    segments and hooks are shared.  Only the pages [m] has written are
+    copied. *)
+val clone : t -> t
 
 val status : t -> status
 

@@ -134,7 +134,8 @@ let armed_path_case =
   Alcotest.test_case "armed path in the profile only when triggered"
     `Quick (fun () ->
       List.iter
-        (fun (family, (lo, hi)) ->
+        (fun (family, payload) ->
+          let lo, hi = payload () in
           Alcotest.(check bool) (family ^ ": payload range sane") true
             (lo > 0 && hi > lo);
           let in_range a = a >= lo && a < hi in

@@ -348,6 +348,47 @@ let serve_case =
       let _, out2 = serve_once script in
       Alcotest.(check (list string)) "deterministic service" out out2)
 
+(* A 1 MiB line with no newline inside the cap is answered bad_request
+   at its own seq without being held in memory, and the request after
+   it is served normally. *)
+let oversize_line_case =
+  Alcotest.test_case "serve: oversize request line" `Quick (fun () ->
+      let big = String.make (1 lsl 20) 'x' in
+      let path = Filename.temp_file "hth_serve" ".in" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (big ^ "\n" ^ {|{"scenario":"pma"}|} ^ "\n"));
+      In_channel.with_open_bin path (fun ic ->
+          let a0 = Gc.allocated_bytes () in
+          (match Fleet.Serve.read_line ic with
+           | exception Fleet.Serve.Line_too_long -> ()
+           | _ -> Alcotest.fail "oversize line not refused");
+          Alcotest.(check bool) "oversize line not buffered" true
+            (Gc.allocated_bytes () -. a0 < float (String.length big / 2));
+          Alcotest.(check (option string)) "next line intact"
+            (Some {|{"scenario":"pma"}|}) (Fleet.Serve.read_line ic);
+          Alcotest.(check (option string)) "then end of input" None
+            (Fleet.Serve.read_line ic));
+      In_channel.with_open_bin path (fun ic ->
+          let out = ref [] in
+          let n =
+            Fleet.Serve.run ~jobs:1 ~resolver
+              ~input:(fun () -> Fleet.Serve.read_line ic)
+              ~output:(fun line -> out := line :: !out)
+              ()
+          in
+          Alcotest.(check int) "two requests answered" 2 n;
+          match List.rev !out with
+          | [ a; b ] ->
+            Alcotest.(check bool) "seq 0" true
+              (field a "seq" = Some (Forensics.Jsonl.Int 0));
+            check_str a "status" "bad_request";
+            Alcotest.(check bool) "seq 1" true
+              (field b "seq" = Some (Forensics.Jsonl.Int 1));
+            check_str b "status" "ok"
+          | _ -> Alcotest.fail "expected two responses"))
+
 let suite =
   [ deque_case; deque_race_case; pool_case; identity_case; seeds_case;
-    unknown_engine_case; fault_isolation_case; absorb_case; serve_case ]
+    unknown_engine_case; fault_isolation_case; absorb_case; serve_case;
+    oversize_line_case ]

@@ -1,6 +1,7 @@
-let run_group scenarios () =
+let run_group specs () =
   List.iter
-    (fun (sc : Guest.Scenario.t) ->
+    (fun sp ->
+      let sc = Guest.Scenario.resolve sp in
       let r = Guest.Scenario.run sc in
       let v = Hth.Report.verdict r in
       Fmt.epr "=== %s: expected %s, got %s@."
@@ -10,7 +11,7 @@ let run_group scenarios () =
       Fmt.epr "%a@." (Osim.Kernel.pp_report) r.os_report;
       Alcotest.(check bool) (sc.sc_name ^ " verdict") true
         (Guest.Scenario.matches sc.sc_expected v))
-    scenarios
+    specs
 
 let () =
   Alcotest.run "hth"

@@ -200,6 +200,172 @@ let prop_string_roundtrip =
       Vm.Machine.write_string m addr s;
       Vm.Machine.read_bytes m addr (String.length s) = s)
 
+(* Paged guest memory against a flat reference model.  Random byte,
+   word and string accesses (biased to page-straddling offsets
+   0xffd-0xfff, the last word of the space and just past it) run on
+   a family of machines grown by [clone]; each op must give the same
+   value or the same [Bad_access] fault as the model, every machine
+   must still match its own model byte for byte at the end (so no
+   write after a fork shows through in either direction), and a fresh
+   machine must still read zero wherever anyone wrote (the shared zero
+   page was never written). *)
+
+type mem_op =
+  | M_wb of int * int * int  (* process, address, byte *)
+  | M_ww of int * int * int
+  | M_rb of int * int
+  | M_rw of int * int
+  | M_ws of int * int * string
+  | M_rs of int * int  (* read_cstring *)
+  | M_rbytes of int * int * int
+  | M_fork of int
+
+let mem_size = Vm.Machine.mem_size
+
+let mem_addr_gen =
+  let open Gen in
+  frequency
+    [ 4, map2 (fun pg off -> (pg * 0x1000) + 0xffd + off) (int_bound 255)
+           (int_bound 6);
+      2, map (fun k -> mem_size - 8 + k) (int_bound 12);
+      1, map (fun k -> -1 - k) (int_bound 3);
+      3, int_bound 0x4000 ]
+
+let mem_op_gen =
+  let open Gen in
+  let p = int_bound 7 in
+  frequency
+    [ 3, map3 (fun p a v -> M_wb (p, a, v)) p mem_addr_gen (int_bound 255);
+      3, map3 (fun p a v -> M_ww (p, a, v)) p mem_addr_gen
+           (int_bound 0x3FFFFFFF);
+      2, map2 (fun p a -> M_rb (p, a)) p mem_addr_gen;
+      2, map2 (fun p a -> M_rw (p, a)) p mem_addr_gen;
+      2, map3 (fun p a s -> M_ws (p, a, s)) p mem_addr_gen
+           (string_size ~gen:(oneofl [ '\000'; 'a'; 'b'; '\xff' ])
+              (frequency [ 6, int_bound 12; 1, int_range 4090 4200 ]));
+      2, map2 (fun p a -> M_rs (p, a)) p mem_addr_gen;
+      1, map3 (fun p a n -> M_rbytes (p, a, n)) p mem_addr_gen
+           (int_bound 8);
+      1, map (fun p -> M_fork p) p ]
+
+let pp_mem_op = function
+  | M_wb (p, a, v) -> Printf.sprintf "p%d wb 0x%x %d" p a v
+  | M_ww (p, a, v) -> Printf.sprintf "p%d ww 0x%x 0x%x" p a v
+  | M_rb (p, a) -> Printf.sprintf "p%d rb 0x%x" p a
+  | M_rw (p, a) -> Printf.sprintf "p%d rw 0x%x" p a
+  | M_ws (p, a, s) -> Printf.sprintf "p%d ws 0x%x %S" p a s
+  | M_rs (p, a) -> Printf.sprintf "p%d rs 0x%x" p a
+  | M_rbytes (p, a, n) -> Printf.sprintf "p%d rbytes 0x%x %d" p a n
+  | M_fork p -> Printf.sprintf "p%d fork" p
+
+(* The model: a sparse byte map (absent = 0) with the machine's fault
+   rule — an access faults at the first of its two ends (its first
+   byte, then its last) that lies outside the address space. *)
+let model_check a =
+  if a < 0 || a >= mem_size then raise (Vm.Machine.Fault_exn (Bad_access a))
+
+let model_span a len =
+  model_check a;
+  if len > 0 then model_check (a + len - 1)
+
+let model_get h a = Option.value (Hashtbl.find_opt h a) ~default:0
+
+let model_apply h = function
+  | M_wb (_, a, v) -> model_span a 1; Hashtbl.replace h a v; ""
+  | M_ww (_, a, v) ->
+    model_span a 4;
+    for i = 0 to 3 do
+      Hashtbl.replace h (a + i) ((v lsr (8 * i)) land 0xFF)
+    done;
+    ""
+  | M_rb (_, a) -> model_span a 1; string_of_int (model_get h a)
+  | M_rw (_, a) ->
+    model_span a 4;
+    string_of_int
+      (List.fold_left (fun acc i -> acc lor (model_get h (a + i) lsl (8 * i)))
+         0 [ 0; 1; 2; 3 ])
+  | M_ws (_, a, s) ->
+    model_span a (String.length s);
+    String.iteri (fun i c -> Hashtbl.replace h (a + i) (Char.code c)) s;
+    ""
+  | M_rs (_, a) ->
+    model_span a 1;
+    let b = Buffer.create 16 in
+    let rec go i =
+      if i < mem_size && model_get h i <> 0 then begin
+        Buffer.add_char b (Char.chr (model_get h i));
+        go (i + 1)
+      end
+    in
+    go a;
+    Buffer.contents b
+  | M_rbytes (_, a, n) ->
+    model_span a n;
+    String.init n (fun i -> Char.chr (model_get h (a + i)))
+  | M_fork _ -> ""
+
+let machine_apply m = function
+  | M_wb (_, a, v) -> Vm.Machine.write_byte m a v; ""
+  | M_ww (_, a, v) -> Vm.Machine.write_word m a v; ""
+  | M_rb (_, a) -> string_of_int (Vm.Machine.read_byte m a)
+  | M_rw (_, a) -> string_of_int (Vm.Machine.read_word m a)
+  | M_ws (_, a, s) -> Vm.Machine.write_string m a s; ""
+  | M_rs (_, a) -> Vm.Machine.read_cstring m a
+  | M_rbytes (_, a, n) -> Vm.Machine.read_bytes m a n
+  | M_fork _ -> ""
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Vm.Machine.Fault_exn (Bad_access a) -> Error a
+
+let prop_paged_memory_model =
+  Test.make ~name:"paged memory matches a flat model across forks"
+    ~count:300
+    (make
+       ~print:(fun ops -> String.concat "; " (List.map pp_mem_op ops))
+       Gen.(list_size (int_range 1 60) mem_op_gen))
+    (fun ops ->
+      let procs = ref [| Vm.Machine.create (), Hashtbl.create 64 |] in
+      let touched = Hashtbl.create 64 in
+      let proc_of = function
+        | M_wb (p, _, _) | M_ww (p, _, _) | M_rb (p, _) | M_rw (p, _)
+        | M_ws (p, _, _) | M_rs (p, _) | M_rbytes (p, _, _) | M_fork p ->
+          p mod Array.length !procs
+      in
+      let ok =
+        List.for_all
+          (fun op ->
+            let m, h = !procs.(proc_of op) in
+            (match op with
+             | M_wb (_, a, _) -> Hashtbl.replace touched a ()
+             | M_ww (_, a, _) ->
+               for i = 0 to 3 do Hashtbl.replace touched (a + i) () done
+             | M_ws (_, a, s) ->
+               String.iteri (fun i _ -> Hashtbl.replace touched (a + i) ()) s
+             | _ -> ());
+            match op with
+            | M_fork _ ->
+              procs :=
+                Array.append !procs [| Vm.Machine.clone m, Hashtbl.copy h |];
+              true
+            | _ ->
+              outcome (fun () -> machine_apply m op)
+              = outcome (fun () -> model_apply h op))
+          ops
+      in
+      let fresh = Vm.Machine.create () in
+      ok
+      && Hashtbl.fold
+           (fun a () acc ->
+             acc
+             && (a < 0 || a >= mem_size
+                || Array.for_all
+                     (fun (m, h) -> Vm.Machine.read_byte m a = model_get h a)
+                     !procs
+                   && Vm.Machine.read_byte fresh a = 0))
+           touched true)
+
 (* ------------------------------------------------------------------ *)
 (* Random straight-line programs vs a reference interpreter            *)
 
@@ -870,7 +1036,8 @@ let props =
     prop_origin_socket_dominates; prop_origin_empty_unknown;
     prop_origin_classify_all_consistent; prop_value_compare_refl;
     prop_value_compare_antisym; prop_sexp_roundtrip; prop_word_roundtrip;
-    prop_string_roundtrip; prop_machine_matches_reference;
+    prop_string_roundtrip; prop_paged_memory_model;
+    prop_machine_matches_reference;
     prop_fs_roundtrip; prop_shadow_range_union; prop_engine_refraction;
     prop_secure_no_data; prop_trace_roundtrip; prop_flow_decoder_total;
     prop_dataflow_matches_reference; prop_obs_counters_ground_truth;

@@ -239,6 +239,54 @@ let test_corpus_names_unique () =
     (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* The Section 9 workload declares the verdict the policy gives it at
+   every size: HIGH, from check_write's FILE->FILE name matrix. *)
+let test_perf_workload_verdict () =
+  List.iter
+    (fun iters ->
+      let sc = Guest.Perf_workload.scenario ~iters in
+      check (Fmt.str "perf workload matches at iters %d" iters) true
+        (Guest.Scenario.passes sc))
+    [ 2; 100 ]
+
+(* Two domains resolving one scenario at once both get the physically
+   same value, built once: a fresh spec whose build function counts its
+   calls (and dawdles, to widen the race), and a corpus lookup by
+   name. *)
+let test_registry_concurrent_find () =
+  let builds = Atomic.make 0 in
+  let sp =
+    Guest.Scenario.define ~name:"race" ~group:"test" ~descr:"race"
+      ~expected:Guest.Scenario.Benign (fun () ->
+        Atomic.incr builds;
+        Unix.sleepf 0.01;
+        (Guest.Perf_workload.scenario ~iters:1).sc_setup)
+  in
+  let go = Atomic.make false in
+  let both f =
+    let d =
+      Domain.spawn (fun () ->
+          while not (Atomic.get go) do Domain.cpu_relax () done;
+          f ())
+    in
+    Atomic.set go true;
+    let mine = f () in
+    mine, Domain.join d
+  in
+  let a, b = both (fun () -> Guest.Scenario.resolve sp) in
+  check "spec resolves to one value" true (a == b);
+  check_int "build ran once" 1 (Atomic.get builds);
+  Atomic.set go false;
+  let a, b = both (fun () -> Guest.Registry.find "superforker") in
+  match a, b with
+  | Some a, Some b ->
+    check "registry finds one value" true (a == b);
+    check "registry and corpus agree" true
+      (match Guest.Corpus.find "superforker" with
+       | Some c -> c == a
+       | None -> false)
+  | _ -> Alcotest.fail "superforker not found"
+
 let suite =
   [ Alcotest.test_case "ElmExploit transcript (incl. the miss)" `Quick
       test_elm_transcript;
@@ -269,4 +317,8 @@ let suite =
     Alcotest.test_case "monitoring transparency" `Quick
       test_monitor_transparency;
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
-    Alcotest.test_case "corpus scale" `Quick test_corpus_scale ]
+    Alcotest.test_case "corpus scale" `Quick test_corpus_scale;
+    Alcotest.test_case "perf workload verdict at two sizes" `Quick
+      test_perf_workload_verdict;
+    Alcotest.test_case "registry: concurrent find" `Quick
+      test_registry_concurrent_find ]
