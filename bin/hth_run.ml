@@ -562,6 +562,7 @@ let default =
   Term.(ret (const (`Help (`Pager, None))))
 
 let () =
+  Hth_clock.install ();
   let info =
     Cmd.info "hth_run" ~version:"1.0"
       ~doc:"Hunting Trojan Horses: run monitored guest scenarios"

@@ -291,6 +291,7 @@ let main jobs socket deadline window max_inflight default_ticks grace
           ~grace ?store path)
 
 let () =
+  Hth_clock.install ();
   let doc = "Hunting Trojan Horses: line-framed JSON analysis service" in
   let info = Cmd.info "hth_serve" ~version:"1.0" ~doc in
   exit

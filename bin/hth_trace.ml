@@ -446,6 +446,7 @@ let fleet_cmd =
 let default = Term.(ret (const (`Help (`Pager, None))))
 
 let () =
+  Hth_clock.install ();
   let info =
     Cmd.info "hth_trace" ~version:"1.0"
       ~doc:"Offline forensic analysis of recorded HTH traces"

@@ -224,7 +224,8 @@ let images_for eng (s : setup) =
 (* ------------------------------------------------------------------ *)
 (* Per-session world construction                                      *)
 
-(* Per-phase wall-clock histograms (stats only — never trace data). *)
+(* Per-phase span histograms, wall-clock under the binaries' monotonic
+   clock (stats only — never trace data). *)
 let h_build = Obs.Histogram.make "session.phase.build"
 let h_spawn = Obs.Histogram.make "session.phase.spawn"
 let h_run = Obs.Histogram.make "session.phase.run"

@@ -52,7 +52,9 @@ type t = {
   s_hw : Taint.Tagset.t;
   s_addrs : addr array;
   s_texprs : ctex array;
-  s_writes : cwrite array;  (* program order; later writes win *)
+  s_writes : cwrite array;
+      (* program order, one per register (the last); later memory
+         writes win *)
   s_guards : int array;  (* texpr indices, program order *)
   s_vals : int array;  (* scratch: evaluated address per s_addrs entry *)
   s_tags : Taint.Tagset.t array;  (* scratch: evaluated tag per texpr *)
@@ -100,6 +102,22 @@ let make ~space ~imm_tag (flow : Isa.Block.flow) =
         | Isa.Block.W_mem (av, len, x) ->
           W_mem (addr_index (av, len), tex_index x))
       flow.f_writes
+  in
+  (* Only the last write to a register is live: every expression reads
+     block-entry state, so an earlier write to the same register is
+     never observed.  Its expression keeps its index and is still
+     evaluated, so an application makes the same shadow reads. *)
+  let written = Array.make Isa.Reg.count false in
+  let writes =
+    List.fold_right
+      (fun w live ->
+        match w with
+        | W_reg (r, _) when written.(r) -> live
+        | W_reg (r, _) ->
+          written.(r) <- true;
+          w :: live
+        | W_mem _ -> w :: live)
+      writes []
   in
   let guards = List.map tex_index flow.f_guards in
   let compile_tex (x : Isa.Block.texpr) =
@@ -212,7 +230,8 @@ let rec eval_texprs s shadow i =
         union_inputs s.s_space x 0 (nr + Array.length x.c_mems) seed;
       x.c_valid <- true
     end;
-    Array.unsafe_set s.s_tags i x.c_out;
+    if Array.unsafe_get s.s_tags i != x.c_out then
+      Array.unsafe_set s.s_tags i x.c_out;
     eval_texprs s shadow (i + 1)
   end
 
@@ -232,12 +251,15 @@ let apply s shadow m =
   eval_addrs s m 0
   && begin
     eval_texprs s shadow 0;
-    (* 3. apply writes in program order *)
+    (* 3. apply writes in program order; a register that already holds
+       its new tag is not stored again *)
     let n_writes = Array.length s.s_writes in
     let tags = Shadow.regs shadow in
     for i = 0 to n_writes - 1 do
       match Array.unsafe_get s.s_writes i with
-      | W_reg (r, x) -> Array.unsafe_set tags r (Array.unsafe_get s.s_tags x)
+      | W_reg (r, x) ->
+        let t = Array.unsafe_get s.s_tags x in
+        if Array.unsafe_get tags r != t then Array.unsafe_set tags r t
       | W_mem (ai, x) ->
         Shadow.set_range shadow
           (Array.unsafe_get s.s_vals ai)

@@ -290,10 +290,11 @@ module Histogram = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Span timers: wall-clock durations recorded into histograms.  The
-   clock is pluggable ([Sys.time] by default, so the library stays
-   dependency-free); durations are observability data, never trace
-   data.                                                               *)
+(* Span timers: durations recorded into histograms.  The clock is
+   pluggable so the library stays dependency-free: the default,
+   [Sys.time], is process CPU time; the binaries install a monotonic
+   wall clock ([bin/hth_clock]).  Durations are observability data,
+   never trace data.                                                   *)
 
 module Span = struct
   (* Configure the clock before spawning worker domains; it is read

@@ -95,9 +95,11 @@ module Histogram : sig
       ([0. <= p <= 100.]) over the kept samples; [0.] when empty. *)
 end
 
-(** Wall-clock span timing into a histogram.  The clock is pluggable
-    ([Sys.time] by default); durations go to stats, never to the
-    trace. *)
+(** Span timing into a histogram.  The clock is pluggable: the default
+    is [Sys.time], i.e. process CPU time (summed over domains, blocking
+    excluded); [hth_run], [hth_serve] and [hth_trace] install a
+    [CLOCK_MONOTONIC] wall clock at start-up.  Durations go to stats,
+    never to the trace. *)
 module Span : sig
   val set_clock : (unit -> float) -> unit
 

@@ -36,9 +36,12 @@ and segment = {
   seg_kind : Binary.Image.kind;
   seg_lens : int array;
   seg_ops : (t -> unit) option array;
-      (* compiled-insn slots, lazily filled by [step_block]; shared with
-         every machine mapping the same image (see [ops_for]), so fleet
-         workers decode each block once *)
+      (* compiled-insn slots, filled when a chain first needs them *)
+  seg_chains : (t -> unit) option array;
+      (* per block leader: the body's slots chained into one closure,
+         built by [step_block] on the body's first compiled run.  Both
+         arrays are shared with every machine mapping the same image
+         (see [ops_for]), so fleet workers compile each block once *)
 }
 
 and hooks = {
@@ -51,7 +54,8 @@ and hooks = {
    below never matches it. *)
 let no_seg =
   { seg_base = 0; seg_insns = [||]; seg_image = "";
-    seg_kind = Binary.Image.Executable; seg_lens = [||]; seg_ops = [||] }
+    seg_kind = Binary.Image.Executable; seg_lens = [||]; seg_ops = [||];
+    seg_chains = [||] }
 
 let no_hooks () =
   { pre_insn = (fun _ _ _ -> ());
@@ -206,40 +210,48 @@ let read_cstring m addr =
   in
   read_bytes m addr (find addr - addr)
 
-(* Per-image compiled-op tables, keyed by physical equality on the text
-   array.  Linked images are interned per engine and shared by every
-   forked fleet worker, so all machines mapping one image write into
-   (and benefit from) the same slot array.  Slot stores race benignly
-   across domains: a stale [None] read just recompiles the identical
-   closure.  The registry is bounded; evicting an entry only forfeits
-   sharing for images still mapped somewhere. *)
-let ops_registry : (Isa.Insn.t array * (t -> unit) option array) list ref =
-  ref []
+(* Per-image compiled-op tables (instruction slots and block chains),
+   keyed by physical equality on the text array.  Linked images are
+   interned per engine and shared by every forked fleet worker, so all
+   machines mapping one image write into (and benefit from) the same
+   arrays.  Stores race benignly across domains: a stale [None] read
+   just recompiles an identical closure.  The registry is bounded;
+   evicting an entry only forfeits sharing for images still mapped
+   somewhere. *)
+type compiled = {
+  c_ops : (t -> unit) option array;
+  c_chains : (t -> unit) option array;
+}
+
+let ops_registry : (Isa.Insn.t array * compiled) list ref = ref []
 
 let ops_mu = Mutex.create ()
 let ops_registry_cap = 512
 
 let ops_for text =
   Mutex.lock ops_mu;
-  let ops =
+  let c =
     match List.find_opt (fun (t', _) -> t' == text) !ops_registry with
-    | Some (_, ops) -> ops
+    | Some (_, c) -> c
     | None ->
-      let ops = Array.make (Array.length text) None in
-      let reg = (text, ops) :: !ops_registry in
+      let n = Array.length text in
+      let c = { c_ops = Array.make n None; c_chains = Array.make n None } in
+      let reg = (text, c) :: !ops_registry in
       ops_registry :=
         (if List.length reg > ops_registry_cap then
            List.filteri (fun i _ -> i < ops_registry_cap / 2) reg
          else reg);
-      ops
+      c
   in
   Mutex.unlock ops_mu;
-  ops
+  c
 
 let map_image m (img : Binary.Image.t) =
+  let c = ops_for img.text in
   m.segs <-
     { seg_base = img.base; seg_insns = img.text; seg_image = img.path;
-      seg_kind = img.kind; seg_lens = img.blocks; seg_ops = ops_for img.text }
+      seg_kind = img.kind; seg_lens = img.blocks; seg_ops = c.c_ops;
+      seg_chains = c.c_chains }
     :: m.segs;
   (* the new segment may shadow the cached one *)
   m.cur_seg <- no_seg;
@@ -513,74 +525,344 @@ let step m =
   | (Halted | Faulted _) as s -> stopped m s
   | Running -> step_in m (seg_for m m.eip)
 
-(* Compile one body-safe instruction to a closure replicating [exec]'s
-   semantics exactly (flags, masking, faults, eip advance).  Only
-   called from [step_block] on instructions [Isa.Block.body_safe]
-   admits; terminators and [Div] always stay with the interpreter. *)
-let compile_insn insn =
-  let open Isa.Insn in
+(* ------------------------------------------------------------------ *)
+(* The compiled tier                                                   *)
+
+(* [compile_insn] specialises one body-safe instruction on its operand
+   shape when it builds the closure: register indices, masked
+   immediates and the effective-address form are resolved here, so the
+   closure matches no operand constructor at run time.  Each closure
+   replicates [exec] exactly — flags, masking, the order of memory
+   accesses (so the same address faults first) and the [eip] advance —
+   and relies on the register file holding 32-bit values, which
+   [set_reg] guarantees.  Terminators and [Div] always stay with the
+   interpreter. *)
+
+let m32 = 0xFFFFFFFF
+let esp = Isa.Reg.index ESP
+
+let[@inline] rg m i = Array.unsafe_get m.regs i
+
+(* The effective address of [r], as [eff_addr], specialised on its
+   form: displacement, base + displacement, or a scaled index. *)
+let ea_fn (r : Isa.Operand.mem_ref) : t -> int =
+  let d = r.disp and s = r.scale in
+  match r.base, r.index with
+  | None, None ->
+    let a = d land m32 in
+    fun _ -> a
+  | Some b, None ->
+    let b = Isa.Reg.index b in
+    fun m -> (d + rg m b) land m32
+  | None, Some i ->
+    let i = Isa.Reg.index i in
+    fun m -> (d + (rg m i * s)) land m32
+  | Some b, Some i ->
+    let b = Isa.Reg.index b and i = Isa.Reg.index i in
+    fun m -> (d + rg m b + (rg m i * s)) land m32
+
+(* [reader sz op] evaluates [op] as [read_operand m sz op]. *)
+let reader (sz : Isa.Insn.size) (op : Isa.Operand.t) : t -> int =
+  match op, sz with
+  | Imm n, _ ->
+    let v = mask sz n in
+    fun _ -> v
+  | Reg r, W ->
+    let i = Isa.Reg.index r in
+    fun m -> rg m i
+  | Reg r, B ->
+    let i = Isa.Reg.index r in
+    fun m -> rg m i land 0xFF
+  | Mem r, W ->
+    let ea = ea_fn r in
+    fun m -> read_word m (ea m)
+  | Mem r, B ->
+    let ea = ea_fn r in
+    fun m -> read_byte m (ea m)
+
+let not_body_safe () = invalid_arg "Machine.compile_insn: not body-safe"
+
+let[@inline] set_r m d v =
+  Array.unsafe_set m.regs d v;
+  next m
+
+let compile_mov (sz : Isa.Insn.size) (dst : Isa.Operand.t)
+    (src : Isa.Operand.t) : t -> unit =
+  match dst, src, sz with
+  | Reg d, Reg s, W ->
+    let d = Isa.Reg.index d and s = Isa.Reg.index s in
+    fun m -> set_r m d (rg m s)
+  | Reg d, Reg s, B ->
+    let d = Isa.Reg.index d and s = Isa.Reg.index s in
+    fun m -> set_r m d (rg m s land 0xFF)
+  | Reg d, Imm n, _ ->
+    let d = Isa.Reg.index d and v = mask sz n in
+    fun m -> set_r m d v
+  | Reg d, Mem r, W ->
+    let d = Isa.Reg.index d and ea = ea_fn r in
+    fun m -> set_r m d (read_word m (ea m))
+  | Reg d, Mem r, B ->
+    let d = Isa.Reg.index d and ea = ea_fn r in
+    fun m -> set_r m d (read_byte m (ea m))
+  | Mem r, Reg s, W ->
+    let ea = ea_fn r and s = Isa.Reg.index s in
+    fun m ->
+      write_word m (ea m) (rg m s);
+      next m
+  | Mem r, Reg s, B ->
+    let ea = ea_fn r and s = Isa.Reg.index s in
+    fun m ->
+      write_byte m (ea m) (rg m s);
+      next m
+  | Mem r, Imm n, W ->
+    let ea = ea_fn r and v = mask W n in
+    fun m ->
+      write_word m (ea m) v;
+      next m
+  | Mem r, Imm n, B ->
+    let ea = ea_fn r and v = mask B n in
+    fun m ->
+      write_byte m (ea m) v;
+      next m
+  | Mem r, Mem s, W ->
+    let ea = ea_fn r and src = ea_fn s in
+    fun m ->
+      let v = read_word m (src m) in
+      write_word m (ea m) v;
+      next m
+  | Mem r, Mem s, B ->
+    let ea = ea_fn r and src = ea_fn s in
+    fun m ->
+      let v = read_byte m (src m) in
+      write_byte m (ea m) v;
+      next m
+  | Imm _, _, _ -> not_body_safe ()
+
+type alu_op = A_add | A_sub | A_and | A_or | A_xor | A_mul | A_shl | A_shr
+
+let[@inline] binop op a b =
+  match op with
+  | A_add -> a + b
+  | A_sub -> a - b
+  | A_and -> a land b
+  | A_or -> a lor b
+  | A_xor -> a lxor b
+  | A_mul -> a * b
+  | A_shl -> shl a b
+  | A_shr -> shr a b
+
+(* Flags, destination register and [eip] for an ALU result. *)
+let[@inline] alu_reg m d r =
+  let r = r land m32 in
+  m.zf <- r = 0;
+  m.sf <- r land 0x80000000 <> 0;
+  m.lt <- m.sf;
+  set_r m d r
+
+(* The two register-destination shapes hot loops are made of, with the
+   operator fixed in the closure body. *)
+let alu_rr op d s : t -> unit =
+  match op with
+  | A_add -> fun m -> alu_reg m d (rg m d + rg m s)
+  | A_sub -> fun m -> alu_reg m d (rg m d - rg m s)
+  | A_and -> fun m -> alu_reg m d (rg m d land rg m s)
+  | A_or -> fun m -> alu_reg m d (rg m d lor rg m s)
+  | A_xor -> fun m -> alu_reg m d (rg m d lxor rg m s)
+  | A_mul -> fun m -> alu_reg m d (rg m d * rg m s)
+  | A_shl -> fun m -> alu_reg m d (rg m d lsl (rg m s land 31))
+  | A_shr -> fun m -> alu_reg m d (rg m d lsr (rg m s land 31))
+
+let alu_ri op d k : t -> unit =
+  match op with
+  | A_add -> fun m -> alu_reg m d (rg m d + k)
+  | A_sub -> fun m -> alu_reg m d (rg m d - k)
+  | A_and -> fun m -> alu_reg m d (rg m d land k)
+  | A_or -> fun m -> alu_reg m d (rg m d lor k)
+  | A_xor -> fun m -> alu_reg m d (rg m d lxor k)
+  | A_mul -> fun m -> alu_reg m d (rg m d * k)
+  | A_shl ->
+    let k = k land 31 in
+    fun m -> alu_reg m d (rg m d lsl k)
+  | A_shr ->
+    let k = k land 31 in
+    fun m -> alu_reg m d (rg m d lsr k)
+
+(* As [alu]: the destination is read before the source, and a memory
+   destination is written at the address it was read from. *)
+let compile_alu op (dst : Isa.Operand.t) (src : Isa.Operand.t) : t -> unit =
+  match dst, src with
+  | Reg d, Reg s -> alu_rr op (Isa.Reg.index d) (Isa.Reg.index s)
+  | Reg d, Imm n -> alu_ri op (Isa.Reg.index d) (mask W n)
+  | Reg d, Mem _ ->
+    let d = Isa.Reg.index d and src = reader W src in
+    fun m -> alu_reg m d (binop op (rg m d) (src m))
+  | Mem r, _ ->
+    let ea = ea_fn r and src = reader W src in
+    fun m ->
+      let a = ea m in
+      let x = read_word m a in
+      let r = binop op x (src m) land m32 in
+      set_flags m r;
+      write_word m a r;
+      next m
+  | Imm _, _ -> not_body_safe ()
+
+let[@inline] cmp_set m x y =
+  m.zf <- x = y;
+  m.lt <- x < y;
+  m.sf <- m.lt;
+  next m
+
+(* As [compare_ops]: [a] is read before [b]; byte operands compare
+   unsigned. *)
+let compile_cmp (sz : Isa.Insn.size) (a : Isa.Operand.t) (b : Isa.Operand.t)
+    : t -> unit =
+  match sz, a, b with
+  | W, Reg a, Imm n ->
+    let a = Isa.Reg.index a and y = sign32 (mask W n) in
+    fun m -> cmp_set m (sign32 (rg m a)) y
+  | W, Reg a, Reg b ->
+    let a = Isa.Reg.index a and b = Isa.Reg.index b in
+    fun m -> cmp_set m (sign32 (rg m a)) (sign32 (rg m b))
+  | B, Reg a, Imm n ->
+    let a = Isa.Reg.index a and y = mask B n in
+    fun m -> cmp_set m (rg m a land 0xFF) y
+  | W, _, _ ->
+    let ra = reader W a and rb = reader W b in
+    fun m ->
+      let x = sign32 (ra m) in
+      cmp_set m x (sign32 (rb m))
+  | B, _, _ ->
+    let ra = reader B a and rb = reader B b in
+    fun m ->
+      let x = ra m in
+      cmp_set m x (rb m)
+
+let[@inline] flags_next m r =
+  set_flags m r;
+  next m
+
+(* As [test_ops], whose [land] evaluates its right operand first. *)
+let compile_test (a : Isa.Operand.t) (b : Isa.Operand.t) : t -> unit =
+  match a, b with
+  | Reg a, Reg b ->
+    let a = Isa.Reg.index a and b = Isa.Reg.index b in
+    fun m -> flags_next m (rg m a land rg m b)
+  | Reg a, Imm n ->
+    let a = Isa.Reg.index a and k = mask W n in
+    fun m -> flags_next m (rg m a land k)
+  | _ ->
+    let ra = reader W a and rb = reader W b in
+    fun m ->
+      let y = rb m in
+      flags_next m (ra m land y)
+
+(* As [push]: the stack pointer is stored masked, but the word is
+   written at the unmasked address, so an empty stack faults at -4. *)
+let[@inline] push_next m v =
+  let sp = rg m esp - 4 in
+  Array.unsafe_set m.regs esp (sp land m32);
+  write_word m sp v;
+  next m
+
+let compile_push (a : Isa.Operand.t) : t -> unit =
+  match a with
+  | Reg r ->
+    let r = Isa.Reg.index r in
+    fun m -> push_next m (rg m r)
+  | Imm n ->
+    let v = mask W n in
+    fun m -> push_next m v
+  | Mem _ ->
+    let src = reader W a in
+    fun m -> push_next m (src m)
+
+(* As [pop_op]: a memory destination's address sees the popped stack
+   pointer. *)
+let compile_pop (dst : Isa.Operand.t) : t -> unit =
+  match dst with
+  | Reg r ->
+    let r = Isa.Reg.index r in
+    fun m ->
+      let sp = rg m esp in
+      let v = read_word m sp in
+      Array.unsafe_set m.regs esp ((sp + 4) land m32);
+      set_r m r v
+  | Mem r ->
+    let ea = ea_fn r in
+    fun m ->
+      let sp = rg m esp in
+      let v = read_word m sp in
+      Array.unsafe_set m.regs esp ((sp + 4) land m32);
+      write_word m (ea m) v;
+      next m
+  | Imm _ -> not_body_safe ()
+
+let compile_insn (insn : Isa.Insn.t) : t -> unit =
   match insn with
-  | Mov (sz, dst, src) ->
-    fun m ->
-      write_operand m sz dst (read_operand m sz src);
-      next m
+  | Mov (sz, dst, src) -> compile_mov sz dst src
   | Lea (r, ref) ->
-    fun m ->
-      set_reg m r (eff_addr m ref);
-      next m
-  | Add (d, s) -> fun m -> alu m ( + ) d s
-  | Sub (d, s) -> fun m -> alu m ( - ) d s
-  | And (d, s) -> fun m -> alu m ( land ) d s
-  | Or (d, s) -> fun m -> alu m ( lor ) d s
-  | Xor (d, s) -> fun m -> alu m ( lxor ) d s
-  | Mul (d, s) -> fun m -> alu m ( * ) d s
-  | Shl (d, s) -> fun m -> alu m shl d s
-  | Shr (d, s) -> fun m -> alu m shr d s
-  | Inc d -> fun m -> alu m incr1 d (Imm 0)
-  | Dec d -> fun m -> alu m decr1 d (Imm 0)
-  | Cmp (sz, a, b) -> fun m -> compare_ops m sz a b
-  | Test (a, b) -> fun m -> test_ops m a b
-  | Push a -> fun m -> push_op m a
-  | Pop dst -> fun m -> pop_op m dst
+    let r = Isa.Reg.index r and ea = ea_fn ref in
+    fun m -> set_r m r (ea m)
+  | Add (d, s) -> compile_alu A_add d s
+  | Sub (d, s) -> compile_alu A_sub d s
+  | And (d, s) -> compile_alu A_and d s
+  | Or (d, s) -> compile_alu A_or d s
+  | Xor (d, s) -> compile_alu A_xor d s
+  | Mul (d, s) -> compile_alu A_mul d s
+  | Shl (d, s) -> compile_alu A_shl d s
+  | Shr (d, s) -> compile_alu A_shr d s
+  | Inc d -> compile_alu A_add d (Imm 1)
+  | Dec d -> compile_alu A_sub d (Imm 1)
+  | Cmp (sz, a, b) -> compile_cmp sz a b
+  | Test (a, b) -> compile_test a b
+  | Push a -> compile_push a
+  | Pop dst -> compile_pop dst
   | Cpuid -> cpuid
   | Nop -> next
-  | Div _ | Jmp _ | Jcc _ | Call _ | Ret | Int _ | Hlt ->
-    invalid_arg "Machine.compile_insn: not body-safe"
+  | Div _ | Jmp _ | Jcc _ | Call _ | Ret | Int _ | Hlt -> not_body_safe ()
 
-(* Run instructions [i, len) of the compiled body at [off] in [seg],
-   filling empty op slots on first use.  A mid-block fault rolls the
-   hoisted instruction and fetch counts back so they match
-   interpretation exactly. *)
-let rec run_body m seg off len i =
-  if i >= len then Continue
+(* [link ops k stop] is the body [k, stop) as one closure calling the
+   filled slots in order. *)
+let rec link ops k stop =
+  let f = Option.get ops.(k) in
+  if k + 1 = stop then f
   else begin
-    let op =
-      match Array.unsafe_get seg.seg_ops (off + i) with
-      | Some f -> f
-      | None ->
-        m.n_decoded <- m.n_decoded + 1;
-        let f = compile_insn seg.seg_insns.(off + i) in
-        seg.seg_ops.(off + i) <- Some f;
-        f
-    in
-    match op m with
-    | () -> run_body m seg off len (i + 1)
-    | exception Fault_exn f ->
-      m.status <- Faulted f;
-      m.retired <- i + 1;
-      m.n_insns <- m.n_insns + (i + 1 - len);
-      m.n_fetch_hits <- m.n_fetch_hits + (i - (len - 1));
-      Stopped m.status
+    let rest = link ops (k + 1) stop in
+    fun m ->
+      f m;
+      rest m
   end
+
+(* The chain for the body of [len] instructions at [off], built on its
+   first run: empty slots are compiled (and counted as decoded), and
+   the chain is stored beside them for every machine mapping the
+   image. *)
+let chain_for m seg off len =
+  match Array.unsafe_get seg.seg_chains off with
+  | Some c -> c
+  | None ->
+    for k = off to off + len - 1 do
+      if Option.is_none seg.seg_ops.(k) then begin
+        m.n_decoded <- m.n_decoded + 1;
+        seg.seg_ops.(k) <- Some (compile_insn seg.seg_insns.(k))
+      end
+    done;
+    let c = link seg.seg_ops off (off + len) in
+    seg.seg_chains.(off) <- Some c;
+    c
 
 (* Tiered dispatch: at a basic-block start whose straight-line body fits
    the remaining [fuel], offer the block to the [on_block] hook.  If it
    accepts (the tier policy has promoted the block and applied — or
-   deliberately skipped — its taint summary), the body runs as compiled
-   closures with no per-instruction hook calls; the terminator and every
-   other case take the interpreted [step] path unchanged.  The number of
-   instructions retired (for quantum accounting) is left in
-   [m.retired]. *)
+   deliberately skipped — its taint summary), the body runs as its
+   compiled chain with no per-instruction hook calls; the terminator
+   and every other case take the interpreted [step] path unchanged.
+   Per-instruction accounting is hoisted to one add per kind and, on a
+   mid-body fault, rolled back to the faulting instruction, whose index
+   is [eip - leader] because every body instruction advances [eip] by
+   one.  The number of instructions retired (for quantum accounting) is
+   left in [m.retired]. *)
 let step_block m ~fuel =
   match m.status with
   | (Halted | Faulted _) as s -> stopped m s
@@ -596,13 +878,20 @@ let step_block m ~fuel =
         m.n_blocks <- m.n_blocks + 1;
         m.h.on_bb m m.eip;
         m.at_bb_start <- false;
-        (* per-insn accounting is hoisted to one add per kind (the
-           first fetch was counted by [seg_for]; the rest of the body
-           would all hit the one-entry cache) *)
+        (* the first fetch was counted by [seg_for]; the rest of the
+           body would all hit the one-entry cache *)
         m.retired <- len;
         m.n_insns <- m.n_insns + len;
         m.n_fetch_hits <- m.n_fetch_hits + (len - 1);
-        run_body m seg off len 0
+        match chain_for m seg off len m with
+        | () -> Continue
+        | exception Fault_exn f ->
+          let i = m.eip - (seg.seg_base + off) in
+          m.status <- Faulted f;
+          m.retired <- i + 1;
+          m.n_insns <- m.n_insns + (i + 1 - len);
+          m.n_fetch_hits <- m.n_fetch_hits + (i - (len - 1));
+          Stopped m.status
       end
     end
 

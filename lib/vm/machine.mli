@@ -38,8 +38,12 @@ type segment = {
   seg_lens : int array;
       (** straight-line body lengths, from {!Binary.Image.t.blocks} *)
   seg_ops : (t -> unit) option array;
-      (** compiled-instruction slots, lazily filled by {!step_block};
-          shared by every machine mapping the same image *)
+      (** compiled-instruction slots, filled by {!step_block} when a
+          block first runs compiled *)
+  seg_chains : (t -> unit) option array;
+      (** per block leader: the body's slots chained into one closure.
+          Slots and chains are shared by every machine mapping the same
+          image *)
 }
 
 (** Instrumentation callbacks.  All default to no-ops ([on_block]
@@ -147,9 +151,9 @@ val step : t -> outcome
 (** [step_block m ~fuel] is the tiered dispatcher: at a basic-block
     start whose straight-line body has at most [fuel] instructions, the
     body is offered to the [on_block] hook and — if accepted — runs as
-    compiled closures (one fused unit, no per-instruction hooks); in
-    every other case exactly one instruction is interpreted via
-    {!step}.  Equivalent to [fuel] iterated {!step}s up to the accepted
+    one closure chaining the body's operand-specialised instructions
+    (no per-instruction hooks, no per-instruction dispatch); in every
+    other case exactly one instruction is interpreted via {!step}.  Equivalent to [fuel] iterated {!step}s up to the accepted
     per-block instrumentation.  Allocates nothing on the steady-state
     path: the retired count is read back with {!retired}. *)
 val step_block : t -> fuel:int -> outcome

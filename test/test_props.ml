@@ -729,15 +729,191 @@ let prop_obs_counters_ground_truth =
       && stat "secpert.warnings" = List.length r.warnings)
 
 (* ------------------------------------------------------------------ *)
+(* Compiled bodies vs interpretation, at the machine.  A random
+   straight-line body runs once through [step_block] with an
+   accept-all [on_block] (so it executes as one compiled chain) and
+   once through [step].  The generator covers every operand shape the
+   compiler specialises — Mov B/W between registers, immediates and
+   memory in both directions, ALU with a memory destination or source,
+   Cmp B/W, Test and Push with immediate or memory operands, Pop to
+   memory, Lea over every address form — with registers and
+   displacements drawn so that words straddle pages (offsets
+   0xffd-0xfff) and addresses reach 1 MiB and beyond, so bodies fault
+   part-way and the compiled path's rollback runs.  A jump tree after
+   the body halts at one of eight addresses chosen by the flags.  The
+   final registers, eip, status, memory, retired total and the settled
+   VM counts must agree.                                                *)
+
+let blk_base = 0x1000
+
+let blk_addr =
+  Gen.oneofl
+    [ 0; 4; 0x3000; 0x3040; 0x30ff; 0x3ffd; 0x3ffe; 0x3fff; 0x4000;
+      0xFFFFC; 0xFFFFD; 0xFFFFF; 0x100000; 0x100004; -4 ]
+
+let blk_reg_value =
+  let open Gen in
+  frequency
+    [ 3, oneofl [ 0; 1; 2; 4; 0x3000; 0x3ffe; 0xffd; 0xFFFFC; 0x100000 ];
+      1, oneofl [ 0x7FFFFFFF; 0x80000000; 0xFFFFFFFF; 0xFFFFFFFC ];
+      2, int_bound 0xFFFF ]
+
+let blk_esp = Gen.oneofl [ 0x8000; 0x8000; 0x8000; 0x3ffe; 0x2; 0x100000 ]
+
+let blk_imm =
+  let open Gen in
+  frequency
+    [ 2, int_bound 0xFF;
+      1, oneofl [ 0x80; 0x100; 0x7FFFFFFF; 0x80000000; 0xFFFFFFFF; -1 ];
+      1, int_bound 0xFFFFFF ]
+
+let blk_mem_ref =
+  let open Gen in
+  let reg = oneofl Isa.Reg.all in
+  let scale = oneofl [ 1; 2; 4 ] in
+  oneof
+    [ map (fun d -> { Isa.Operand.base = None; index = None; scale = 1;
+                      disp = d }) blk_addr;
+      map2 (fun b d -> { Isa.Operand.base = Some b; index = None;
+                         scale = 1; disp = d })
+        reg (oneofl [ 0; 1; 4; 0x3000; 0x3ffd; -4 ]);
+      map3 (fun (b, i) s d -> { Isa.Operand.base = b; index = Some i;
+                                scale = s; disp = d })
+        (pair (opt reg) reg) scale (oneofl [ 0; 2; 0x3000; 0xFFFFC ]) ]
+
+let blk_operand ~dst =
+  let open Gen in
+  let reg = map (fun r -> Isa.Operand.Reg r) (oneofl Isa.Reg.all) in
+  let mem = map (fun r -> Isa.Operand.Mem r) blk_mem_ref in
+  if dst then oneof [ reg; mem ]
+  else oneof [ reg; mem; map (fun k -> Isa.Operand.Imm k) blk_imm ]
+
+let blk_insn_gen : Isa.Insn.t Gen.t =
+  let open Gen in
+  let size = oneofl [ Isa.Insn.B; Isa.Insn.W ] in
+  let d = blk_operand ~dst:true and s = blk_operand ~dst:false in
+  let alu =
+    map3
+      (fun k d s : Isa.Insn.t ->
+        match k with
+        | 0 -> Add (d, s) | 1 -> Sub (d, s) | 2 -> And (d, s)
+        | 3 -> Or (d, s) | 4 -> Xor (d, s) | 5 -> Mul (d, s)
+        | 6 -> Shl (d, s) | _ -> Shr (d, s))
+      (int_bound 7) d s
+  in
+  frequency
+    [ 5, map3 (fun sz d s -> Isa.Insn.Mov (sz, d, s)) size d s;
+      5, alu;
+      1, map (fun d -> Isa.Insn.Inc d) d;
+      1, map (fun d -> Isa.Insn.Dec d) d;
+      2, map3 (fun sz a b -> Isa.Insn.Cmp (sz, a, b)) size s s;
+      2, map2 (fun a b -> Isa.Insn.Test (a, b)) s s;
+      2, map (fun a -> Isa.Insn.Push a) s;
+      2, map (fun d -> Isa.Insn.Pop d) d;
+      2, map2 (fun r m -> Isa.Insn.Lea (r, m)) (oneofl Isa.Reg.all)
+           blk_mem_ref;
+      1, return Isa.Insn.Cpuid;
+      1, return Isa.Insn.Nop ]
+
+(* Seven jump nodes (a Jcc to the right child, a Jmp to the left one)
+   testing Z, then S, then L, and eight hlt leaves. *)
+let flag_tree n : Isa.Insn.t list =
+  let node j = blk_base + n + (2 * j) in
+  let leaf j = blk_base + n + 14 + (j - 7) in
+  let at j = if j < 7 then node j else leaf j in
+  List.concat
+    (List.init 7 (fun k ->
+         let cond : Isa.Insn.cond =
+           if k = 0 then Z else if k < 3 then S else L
+         in
+         [ Isa.Insn.Jcc (cond, Imm (at ((2 * k) + 2)));
+           Jmp (Imm (at ((2 * k) + 1))) ]))
+  @ List.init 8 (fun _ -> Isa.Insn.Hlt)
+
+let blk_regions = [ 0x3000, 0x100; 0x3f00, 0x200; 0xFFF00, 0x100 ]
+
+let blk_vm_counters =
+  [ "vm.instructions"; "vm.blocks"; "vm.fetch_cache.hits";
+    "vm.fetch_cache.misses" ]
+
+(* Run [body] from [regs] to a stop, by [step_block] when [compiled]
+   and by [step] otherwise; the final state as comparable values, and
+   the number of instruction slots decoded. *)
+let blk_run ~compiled body regs =
+  let n = List.length body in
+  let img =
+    Binary.Image.make ~path:"/b" ~kind:Binary.Image.Executable
+      ~base:blk_base ~text:(Array.of_list (body @ flag_tree n))
+      ~sections:[] ~exports:[] ~relocs:[] ~needed:[] ~entry:blk_base
+  in
+  let hooks = Vm.Machine.no_hooks () in
+  if compiled then hooks.on_block <- (fun _ _ _ _ -> true);
+  let m = Vm.Machine.create ~hooks () in
+  Vm.Machine.map_image m img;
+  List.iteri
+    (fun k (a, len) ->
+      Vm.Machine.write_string m a
+        (String.init len (fun i -> Char.chr (((i * 37) + k + 1) land 0xFF))))
+    blk_regions;
+  List.iter2 (Vm.Machine.set_reg m) Isa.Reg.all regs;
+  Vm.Machine.set_eip m blk_base;
+  let before = Obs.snapshot () in
+  let rec go retired =
+    let out =
+      if compiled then Vm.Machine.step_block m ~fuel:1000
+      else Vm.Machine.step m
+    in
+    let retired = retired + Vm.Machine.retired m in
+    match out with
+    | Vm.Machine.Stopped _ -> retired
+    | Continue | Syscall _ -> go retired
+  in
+  let retired = go 0 in
+  Vm.Machine.settle m;
+  let d = Obs.diff ~before ~after:(Obs.snapshot ()) in
+  let count c = Option.value ~default:0 (List.assoc_opt c d) in
+  ( ( List.map (Vm.Machine.get_reg m) Isa.Reg.all,
+      Vm.Machine.eip m,
+      Fmt.to_to_string Vm.Machine.pp_status (Vm.Machine.status m),
+      retired,
+      Vm.Machine.read_bytes m 0 Vm.Machine.mem_size,
+      List.map count blk_vm_counters ),
+    count "vm.blocks.decoded" )
+
+let prop_block_matches_step =
+  Test.make ~name:"compiled bodies match step at the machine" ~count:400
+    (make
+       ~print:(fun (regs, body) ->
+         Printf.sprintf "regs=[%s] body=[%s]"
+           (String.concat "; " (List.map (Printf.sprintf "0x%x") regs))
+           (String.concat "; " (List.map Isa.Insn.to_string body)))
+       Gen.(
+         pair
+           (map2 (fun rs esp -> rs @ [ esp ])
+              (list_repeat 7 blk_reg_value) blk_esp)
+           (list_size (int_range 1 20) blk_insn_gen)))
+    (fun (regs, body) ->
+      let compiled, decoded_c = blk_run ~compiled:true body regs in
+      let interpreted, decoded_i = blk_run ~compiled:false body regs in
+      (* the chain decodes the whole body on its first run, even when
+         that run faults part-way *)
+      compiled = interpreted && decoded_c = List.length body
+      && decoded_i = 0)
+
+(* ------------------------------------------------------------------ *)
 (* Tier equivalence: compiled blocks with fused taint summaries vs
    pure interpretation.  A random straight-line body runs in a counted
    loop hot enough to promote at threshold 1, with tainted stdin read
    into the data region before the loop and written out after it.  The
    generator deliberately includes blocks the tier must reject or
-   window (pop-to-memory, bodies longer than the compile window), so
-   the deopt paths are exercised too.  The whole observable surface —
-   trace bytes, events, counters, verdict, tick count — must be
-   identical with tiering on and off.                                   *)
+   window (pop-to-memory, bodies longer than the compile window), and
+   register-based memory operands whose addresses can leave the address
+   space, so the deopt and fault paths are exercised too.  Each case
+   runs with dataflow tracking on and off: with it off there is no
+   summary and so no bounds-check deopt, and a compiled body faults
+   part-way.  The whole observable surface — trace bytes, events,
+   counters, verdict, tick count — must be identical with tiering on
+   and off.                                                             *)
 
 let tier_reg =
   Gen.oneofl [ Isa.Reg.EAX; Isa.Reg.EBX; Isa.Reg.ECX; Isa.Reg.EDX ]
@@ -746,11 +922,26 @@ let tier_reg =
    little untainted tail *)
 let tier_slot = Gen.map (fun k -> 0x4000 + (4 * k)) (Gen.int_bound 7)
 
+(* absolute slots, and base / base+index*scale forms over the body's
+   registers (ECX starts at the buffer, EDX at its length; the rest
+   hold whatever the body computed) *)
+let tier_mem =
+  let open Gen in
+  frequency
+    [ 3, map (fun d -> Isa.Operand.mem d) tier_slot;
+      2,
+      map2 (fun b d -> Isa.Operand.mem ~base:b d) tier_reg
+        (oneof [ int_bound 15; tier_slot; oneofl [ 0xFFFFD; 0x100000 ] ]);
+      1,
+      map3
+        (fun (b, i) sc d -> Isa.Operand.mem ~base:b ~index:i ~scale:sc d)
+        (pair tier_reg tier_reg) (oneofl [ 1; 2; 4 ]) (int_bound 15) ]
+
 let tier_body_gen : Isa.Insn.t Gen.t =
   let open Gen in
   let reg = map (fun r -> Isa.Operand.Reg r) tier_reg in
   let imm = map (fun k -> Isa.Operand.Imm k) (int_bound 0xFFFF) in
-  let mem = map (fun d -> Isa.Operand.mem d) tier_slot in
+  let mem = tier_mem in
   let alu =
     map3
       (fun op d s : Isa.Insn.t ->
@@ -763,13 +954,30 @@ let tier_body_gen : Isa.Insn.t Gen.t =
         | Rmul -> Mul (d, s))
       rop_gen reg (oneof [ reg; imm ])
   in
+  let alu_mem =
+    map3
+      (fun op (d, s) k : Isa.Insn.t ->
+        let d, s = if k then (d, s) else (s, d) in
+        match op with
+        | Radd -> Add (d, s)
+        | Rsub -> Sub (d, s)
+        | Rxor -> Xor (d, s)
+        | Rand -> And (d, s)
+        | Ror -> Or (d, s)
+        | Rmul -> Mul (d, s))
+      rop_gen (pair mem reg) bool
+  in
+  let size = oneofl [ Isa.Insn.B; Isa.Insn.W ] in
   frequency
     [ 4, alu;
+      2, alu_mem;
       2, map2 (fun d s -> Isa.Insn.Mov (W, d, s)) reg (oneof [ reg; imm ]);
+      1, map3 (fun sz d s -> Isa.Insn.Mov (sz, d, s)) size reg (oneof [ reg; imm ]);
       2, map2 (fun r m -> Isa.Insn.Mov (W, r, m)) reg mem;
       2, map2 (fun m r -> Isa.Insn.Mov (W, m, r)) mem reg;
       1, map2 (fun r m -> Isa.Insn.Mov (B, r, m)) reg mem;
       1, map2 (fun m r -> Isa.Insn.Mov (B, m, r)) mem reg;
+      1, map2 (fun sz m -> Isa.Insn.Mov (sz, m, Imm 0x5A)) size mem;
       1,
       map3
         (fun r b d ->
@@ -781,6 +989,7 @@ let tier_body_gen : Isa.Insn.t Gen.t =
       map2
         (fun r k -> Isa.Insn.Cmp (W, Isa.Operand.Reg r, Isa.Operand.Imm k))
         tier_reg (int_bound 255);
+      1, map3 (fun sz a b -> Isa.Insn.Cmp (sz, a, b)) size mem (oneof [ reg; imm ]);
       1,
       map2
         (fun a b -> Isa.Insn.Test (Isa.Operand.Reg a, Isa.Operand.Reg b))
@@ -788,6 +997,7 @@ let tier_body_gen : Isa.Insn.t Gen.t =
       1, map (fun r -> Isa.Insn.Inc (Isa.Operand.Reg r)) tier_reg;
       1, map (fun r -> Isa.Insn.Dec (Isa.Operand.Reg r)) tier_reg;
       1, map (fun r -> Isa.Insn.Push (Isa.Operand.Reg r)) tier_reg;
+      1, map (fun m -> Isa.Insn.Push m) mem;
       1, map (fun r -> Isa.Insn.Pop (Isa.Operand.Reg r)) tier_reg;
       1, map (fun m -> Isa.Insn.Pop m) mem;
       1, return Isa.Insn.Cpuid;
@@ -814,16 +1024,15 @@ let tier_program iters body : Isa.Insn.t list =
       Int 0x80;
       Hlt ]
 
-let tier_session ~tier insns =
+let tier_session ~dataflow ~tier insns =
   let img =
     Binary.Image.make ~path:"/p" ~kind:Binary.Image.Executable ~base:0x1000
       ~text:(Array.of_list insns) ~sections:[] ~exports:[] ~relocs:[]
       ~needed:[] ~entry:0x1000
   in
   let monitor_config =
-    if tier then
-      { Harrier.Monitor.default_config with tier = true; tier_threshold = 1 }
-    else { Harrier.Monitor.default_config with tier = false }
+    { Harrier.Monitor.default_config with
+      track_dataflow = dataflow; tier; tier_threshold = 1 }
   in
   let buf = Buffer.create 4096 in
   Obs.Trace.to_buffer buf;
@@ -837,6 +1046,34 @@ let tier_session ~tier insns =
   in
   Buffer.contents buf, outcome
 
+(* Tiering on and off agree on one program under one dataflow
+   setting. *)
+let tier_agrees ~dataflow insns =
+  let trace_on, on = tier_session ~dataflow ~tier:true insns in
+  let trace_off, off = tier_session ~dataflow ~tier:false insns in
+  trace_on = trace_off
+  &&
+  match on, off with
+  | Ok a, Ok b ->
+    (* with threshold 1 the loop head is promoted on first entry,
+       so the tiered run really did compile or reject something *)
+    a.Hth.Session.tier.tc_compiled + a.Hth.Session.tier.tc_deopt > 0
+    && b.Hth.Session.tier.tc_compiled = 0
+    && a.stats = b.stats
+    && Hth.Report.equal_verdict (Hth.Report.verdict a)
+         (Hth.Report.verdict b)
+    && a.event_count = b.event_count
+    && a.os_report.rep_ticks = b.os_report.rep_ticks
+    && a.os_report.rep_final = b.os_report.rep_final
+    && List.length a.events = List.length b.events
+    && List.for_all2
+         (fun x y ->
+           Fmt.to_to_string Harrier.Events.pp x
+           = Fmt.to_to_string Harrier.Events.pp y)
+         a.events b.events
+  | Error a, Error b -> Hth.Error.to_string a = Hth.Error.to_string b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
 let prop_tier_equivalence =
   Test.make
     ~name:"tiered execution is observationally identical to interpretation"
@@ -848,29 +1085,7 @@ let prop_tier_equivalence =
        Gen.(pair (int_range 1 8) (list_size (int_bound 24) tier_body_gen)))
     (fun (iters, body) ->
       let insns = tier_program iters body in
-      let trace_on, on = tier_session ~tier:true insns in
-      let trace_off, off = tier_session ~tier:false insns in
-      trace_on = trace_off
-      &&
-      match on, off with
-      | Ok a, Ok b ->
-        (* with threshold 1 the loop head is promoted on first entry,
-           so the tiered run really did compile or reject something *)
-        a.Hth.Session.tier.tc_compiled + a.Hth.Session.tier.tc_deopt > 0
-        && b.Hth.Session.tier.tc_compiled = 0
-        && a.stats = b.stats
-        && Hth.Report.equal_verdict (Hth.Report.verdict a)
-             (Hth.Report.verdict b)
-        && a.event_count = b.event_count
-        && a.os_report.rep_ticks = b.os_report.rep_ticks
-        && List.length a.events = List.length b.events
-        && List.for_all2
-             (fun x y ->
-               Fmt.to_to_string Harrier.Events.pp x
-               = Fmt.to_to_string Harrier.Events.pp y)
-             a.events b.events
-      | Error a, Error b -> Hth.Error.to_string a = Hth.Error.to_string b
-      | Ok _, Error _ | Error _, Ok _ -> false)
+      tier_agrees ~dataflow:true insns && tier_agrees ~dataflow:false insns)
 
 (* ------------------------------------------------------------------ *)
 (* Flow-line round trip for random events                               *)
@@ -1041,7 +1256,7 @@ let props =
     prop_fs_roundtrip; prop_shadow_range_union; prop_engine_refraction;
     prop_secure_no_data; prop_trace_roundtrip; prop_flow_decoder_total;
     prop_dataflow_matches_reference; prop_obs_counters_ground_truth;
-    prop_tier_equivalence ]
+    prop_tier_equivalence; prop_block_matches_step ]
 
 (* ------------------------------------------------------------------ *)
 (* Reproducible randomness.  QCHECK_SEED=<int> pins the generator seed;
