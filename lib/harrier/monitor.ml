@@ -142,10 +142,17 @@ let degraded t =
   |> List.map (fun (_, s) -> s)
   |> List.sort (fun a b -> compare a.pid b.pid)
   |> List.map (fun s ->
-         Fmt.str
-           "pid %d: shadow page budget reached (%d live pages); taint \
-            saturated to conservative over-tainting"
-           s.pid (Shadow.live_pages s.shadow))
+         match t.cfg.shadow_page_budget with
+         | Some _ ->
+           Fmt.str
+             "pid %d: shadow page budget reached (%d live pages); taint \
+              saturated to conservative over-tainting"
+             s.pid (Shadow.live_pages s.shadow)
+         | None ->
+           Fmt.str
+             "pid %d: taint stored beyond the address space; taint \
+              saturated to conservative over-tainting"
+             s.pid)
 
 let imm_tag t image =
   match Hashtbl.find_opt t.imm_tags image with
@@ -293,7 +300,7 @@ let apply_summary t s m sm =
     t.ts_compiled <- t.ts_compiled + 1;
     t.ts_summarized <- t.ts_summarized + 1;
     let g = Summary.guard sm in
-    if not (Taint.Tagset.is_empty g) then s.guard <- g;
+    if not (Taint.Tagset.is_empty g || g == s.guard) then s.guard <- g;
     true
   end
   else begin

@@ -5,10 +5,12 @@
     "Harrier Data Structures" box of Fig. 6 (Reg. DataFlow / Mem.
     DataFlow).
 
-    Memory tags are stored in fixed-size pages allocated on first taint
-    and reclaimed when fully cleared, so reads of untainted regions are
-    a single table miss and [range]/[set_range] operate on page runs
-    rather than per-byte hash lookups. *)
+    Memory tags are stored in 4 KiB pages, one slot per page of the
+    1 MiB address space ({!Vm.Machine.mem_size}), allocated on first
+    taint and reclaimed when fully cleared, so reads of untainted
+    regions are one slot test and [range]/[set_range] operate on page
+    runs.  Every access is clamped to the address space, so one call
+    visits at most its 256 pages whatever length a guest passes. *)
 
 type t
 
@@ -48,10 +50,20 @@ val byte : t -> int -> Taint.Tagset.t
 
 val set_byte : t -> int -> Taint.Tagset.t -> unit
 
-(** [range s addr len] is the union of the tags of [len] bytes. *)
+(** [range s addr len] is the union of the tags of [len] bytes (one
+    shadow range read, counted in [harrier.shadow.loads]).  Bytes
+    outside the address space read as empty: no store keeps a tag
+    there.  [len <= 0] reads nothing. *)
 val range : t -> int -> int -> Taint.Tagset.t
 
-(** [set_range s addr len tag] tags [len] bytes with [tag]. *)
+(** [set_range s addr len tag] tags [len] bytes with [tag].  The part
+    of a store outside the address space is refused as a store over the
+    page budget is: a non-empty [tag] widens every later read (and
+    makes the shadow {!degraded}), so no taint is lost.  A syscall's
+    buffer is always in the space (the kernel writes guest bytes only
+    after checking them); the dataflow hook stores there just before
+    the VM faults the same access, and a short-circuited routine's
+    result pointer is whatever the guest returns. *)
 val set_range : t -> int -> int -> Taint.Tagset.t -> unit
 
 (** [tagged_bytes s] is the number of bytes currently carrying a

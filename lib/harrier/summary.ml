@@ -5,141 +5,206 @@
    [apply] can replay against a live [Shadow.t]: evaluate every touched
    address (affine over the machine's entry registers), bounds-check
    them all (any miss means the interpreter must run the block so the
-   fault surfaces at exactly the right instruction), evaluate every
-   taint expression against the {e entry} shadow, then apply the writes
-   in program order.
+   fault surfaces at exactly the right instruction), gather the block's
+   inputs from the {e entry} shadow, re-evaluate the taint expressions
+   those inputs reach, then apply the writes in program order.  Ranges
+   whose addresses share their register part — a loop's load and store
+   through one index — differ by constants, so that part is evaluated
+   once and one check covers the span of all of them.
+
+   [make] keeps only live expressions — those a surviving write or a
+   guard reads; a register written twice in a block keeps only its
+   last write — and lists the block's distinct input registers and
+   distinct read ranges once.  [apply] gathers them into one memo
+   vector, reading each range from the shadow once however many
+   expressions use it.  Tag sets are interned, so "this input is as it
+   was last time" is one pointer compare; when every input is, a tight
+   guest loop whose operand tags have stabilized (the overwhelmingly
+   common case) skips expression evaluation entirely and touches
+   neither the shadow nor the union memo beyond the gather and its
+   stores.  Otherwise only the expressions that read a changed input
+   are re-unioned from the vector, each over its own inputs in a fixed
+   order, so the union memo sees one union per input of each
+   expression whose value can have moved.
 
    [apply] is the whole point of the compiled tier, so it is written to
    do no heap allocation on the steady-state path: the loops are
    top-level tail recursions over parallel arrays (no closures, no ref
    cells, no tuple keys), registers are pre-resolved to indices into the
-   machine's and the shadow's register files (read directly, not through
-   a call per access), the result is a bool with the guard read back
-   from the scratch tags, and every taint expression memoizes its last
-   input tags.  Tag sets are interned, so "the inputs didn't change
-   since the previous application" is a handful of pointer compares —
-   and a tight guest loop whose operand tags have stabilized (the
-   overwhelmingly common case) replays its entire transfer without
-   touching the union memo at all.
+   machine's and the shadow's register files, and the result is a bool
+   with the guard read back from the evaluated tags.
 
    Summaries are built per run and applied single-threaded, so the
-   scratch and memo arrays live inside the summary value. *)
+   memo and scratch arrays live inside the summary value. *)
 
-type addr = {
-  a_regs : int array;  (* register indices, parallel with [a_coefs] *)
-  a_coefs : int array;
-  a_disp : int;
-  a_len : int;
+(* The touched ranges whose addresses share one linear part
+   [Σ coef·entry_reg]: they differ only by constant displacements, so
+   one evaluation of that sum and one bounds check over the span they
+   cover together stand for a check of each. *)
+type base = {
+  b_regs : int array;  (* register indices, parallel with [b_coefs] *)
+  b_coefs : int array;
+  b_lo : int;  (* least displacement of its ranges *)
+  b_hi : int;  (* greatest displacement + length of its ranges *)
 }
 
+(* A touched range: [base + disp, base + disp + len). *)
+type range = {
+  r_base : int;  (* index into [s_bases] *)
+  r_disp : int;
+  r_len : int;
+}
+
+(* A live taint expression: the union of its memo-vector slots, in the
+   order [Isa.Block.texpr] lists its registers then its ranges, plus
+   the image and hardware tags. *)
 type ctex = {
-  c_regs : int array;  (* register indices: entry register tags *)
-  c_mems : int array;  (* indices into [s_addrs], entry range tags *)
+  c_slots : int array;
+  c_mask : int;  (* [slot_bit] of every slot; [const_bit] when none *)
   c_imm : bool;
   c_hw : bool;
-  c_in : Taint.Tagset.t array;  (* memo: last input tags, regs then mems *)
-  mutable c_out : Taint.Tagset.t;  (* memo: union of [c_in] (+ imm/hw) *)
-  mutable c_valid : bool;  (* [c_in]/[c_out] hold a real evaluation *)
 }
 
 type cwrite =
   | W_reg of int * int  (* register index, texpr index *)
-  | W_mem of int * int  (* addr index, texpr index *)
+  | W_mem of int * int  (* range index, texpr index *)
 
 type t = {
   s_space : Taint.Space.t;
   s_imm : Taint.Tagset.t;  (* the image's BINARY provenance tag *)
   s_hw : Taint.Tagset.t;
-  s_addrs : addr array;
-  s_texprs : ctex array;
+  s_bases : base array;  (* the bounds precondition *)
+  s_ranges : range array;  (* every touched range *)
+  s_in_regs : int array;  (* distinct input registers: slots [0, nr) *)
+  s_in_mems : int array;
+      (* distinct read ranges, indices into [s_ranges]: slots [nr, nr+nm) *)
+  s_in : Taint.Tagset.t array;  (* memo: the last application's inputs *)
+  mutable s_fresh : bool;  (* no application has evaluated [s_texprs] *)
+  s_texprs : ctex array;  (* live only: a write or a guard reads each *)
   s_writes : cwrite array;
       (* program order, one per register (the last); later memory
          writes win *)
   s_guards : int array;  (* texpr indices, program order *)
-  s_vals : int array;  (* scratch: evaluated address per s_addrs entry *)
-  s_tags : Taint.Tagset.t array;  (* scratch: evaluated tag per texpr *)
+  s_vals : int array;  (* scratch: evaluated linear part per base *)
+  s_tags : Taint.Tagset.t array;  (* evaluated tag per texpr *)
 }
 
-let compile_avalue (av : Isa.Block.avalue) len =
-  { a_regs =
-      Array.of_list (List.map (fun (r, _) -> Isa.Reg.index r) av.av_coefs);
-    a_coefs = Array.of_list (List.map snd av.av_coefs);
-    a_disp = av.av_disp;
-    a_len = len }
+(* Which expressions an input change invalidates, as a bit mask over
+   the memo-vector slots.  Slots past [max_bit] share its bit (so they
+   re-evaluate together); [const_bit] stands for "never applied". *)
+let max_bit = 61
+let const_bit = 1 lsl 62
+let[@inline] slot_bit k = 1 lsl (if k < max_bit then k else max_bit)
+
+(* [index_of l] is [x]'s position in the growing list [l] of distinct
+   values, adding it at the end when absent. *)
+let index_of l x =
+  let rec find i = function
+    | [] ->
+      l := !l @ [ x ];
+      i
+    | y :: ys -> if y = x then i else find (i + 1) ys
+  in
+  find 0 !l
 
 let make ~space ~imm_tag (flow : Isa.Block.flow) =
   (* dedupe the touched ranges; every range a texpr or write mentions
      was recorded in [f_addrs] by the analysis *)
   let ranges = ref [] in
-  List.iter
-    (fun r -> if not (List.mem r !ranges) then ranges := r :: !ranges)
-    flow.f_addrs;
-  let ranges = Array.of_list (List.rev !ranges) in
-  let addr_index (av, len) =
+  List.iter (fun r -> ignore (index_of ranges r)) flow.f_addrs;
+  let ranges = Array.of_list !ranges in
+  let coefs = ref [] in
+  Array.iter
+    (fun ((av : Isa.Block.avalue), _) -> ignore (index_of coefs av.av_coefs))
+    ranges;
+  let compile_base c =
+    let b_lo, b_hi =
+      Array.fold_left
+        (fun (lo, hi) ((av : Isa.Block.avalue), len) ->
+          if av.av_coefs = c then (min lo av.av_disp, max hi (av.av_disp + len))
+          else (lo, hi))
+        (max_int, min_int) ranges
+    in
+    { b_regs = Array.of_list (List.map (fun (r, _) -> Isa.Reg.index r) c);
+      b_coefs = Array.of_list (List.map snd c);
+      b_lo;
+      b_hi }
+  in
+  let compile_range ((av : Isa.Block.avalue), len) =
+    { r_base = index_of coefs av.av_coefs; r_disp = av.av_disp; r_len = len }
+  in
+  let addr_index r =
     let rec find i =
       if i >= Array.length ranges then
         invalid_arg "Summary.make: unrecorded range"
-      else if ranges.(i) = (av, len) then i
+      else if ranges.(i) = r then i
       else find (i + 1)
     in
     find 0
   in
-  let texprs = ref [] and n_texprs = ref 0 in
-  let tex_index (x : Isa.Block.texpr) =
-    match List.assoc_opt x !texprs with
-    | Some i -> i
-    | None ->
-      let i = !n_texprs in
-      texprs := (x, i) :: !texprs;
-      incr n_texprs;
-      i
+  (* Only the last write to a register is live: every expression reads
+     block-entry state, so an earlier write to the same register is
+     never observed.  Its expression is dropped with it unless a live
+     write or a guard shares it. *)
+  let written = Array.make Isa.Reg.count false in
+  let live_writes =
+    List.fold_right
+      (fun (w : Isa.Block.write) live ->
+        match w with
+        | W_reg (r, _) when written.(Isa.Reg.index r) -> live
+        | W_reg (r, _) ->
+          written.(Isa.Reg.index r) <- true;
+          w :: live
+        | W_mem _ -> w :: live)
+      flow.f_writes []
   in
+  let texprs = ref [] in
   let writes =
     List.map
       (fun (w : Isa.Block.write) ->
         match w with
-        | Isa.Block.W_reg (r, x) -> W_reg (Isa.Reg.index r, tex_index x)
-        | Isa.Block.W_mem (av, len, x) ->
-          W_mem (addr_index (av, len), tex_index x))
-      flow.f_writes
+        | W_reg (r, x) -> W_reg (Isa.Reg.index r, index_of texprs x)
+        | W_mem (av, len, x) ->
+          W_mem (addr_index (av, len), index_of texprs x))
+      live_writes
   in
-  (* Only the last write to a register is live: every expression reads
-     block-entry state, so an earlier write to the same register is
-     never observed.  Its expression keeps its index and is still
-     evaluated, so an application makes the same shadow reads. *)
-  let written = Array.make Isa.Reg.count false in
-  let writes =
-    List.fold_right
-      (fun w live ->
-        match w with
-        | W_reg (r, _) when written.(r) -> live
-        | W_reg (r, _) ->
-          written.(r) <- true;
-          w :: live
-        | W_mem _ -> w :: live)
-      writes []
-  in
-  let guards = List.map tex_index flow.f_guards in
+  let guards = List.map (index_of texprs) flow.f_guards in
+  (* the memo vector: each distinct input once, registers first *)
+  let in_regs = ref [] and in_mems = ref [] in
+  List.iter
+    (fun (x : Isa.Block.texpr) ->
+      List.iter (fun r -> ignore (index_of in_regs (Isa.Reg.index r))) x.x_regs;
+      List.iter (fun m -> ignore (index_of in_mems (addr_index m))) x.x_mems)
+    !texprs;
+  let nr = List.length !in_regs in
   let compile_tex (x : Isa.Block.texpr) =
-    let nr = List.length x.x_regs and nm = List.length x.x_mems in
-    { c_regs = Array.of_list (List.map Isa.Reg.index x.x_regs);
-      c_mems = Array.of_list (List.map addr_index x.x_mems);
+    let slots =
+      Array.of_list
+        (List.map (fun r -> index_of in_regs (Isa.Reg.index r)) x.x_regs
+         @ List.map (fun m -> nr + index_of in_mems (addr_index m)) x.x_mems)
+    in
+    { c_slots = slots;
+      c_mask =
+        (if slots = [||] then const_bit
+         else Array.fold_left (fun m k -> m lor slot_bit k) 0 slots);
       c_imm = x.x_imm;
-      c_hw = x.x_hw;
-      c_in = Array.make (max 1 (nr + nm)) Taint.Tagset.empty;
-      c_out = Taint.Tagset.empty;
-      c_valid = false }
+      c_hw = x.x_hw }
   in
-  let by_index = List.sort (fun (_, i) (_, j) -> compare i j) !texprs in
+  let n_in = nr + List.length !in_mems in
   { s_space = space;
     s_imm = imm_tag;
     s_hw = Taint.Tagset.singleton space Taint.Source.Hardware;
-    s_addrs = Array.map (fun (av, len) -> compile_avalue av len) ranges;
-    s_texprs = Array.of_list (List.map (fun (x, _) -> compile_tex x) by_index);
+    s_bases = Array.of_list (List.map compile_base !coefs);
+    s_ranges = Array.map compile_range ranges;
+    s_in_regs = Array.of_list !in_regs;
+    s_in_mems = Array.of_list !in_mems;
+    s_in = Array.make (max 1 n_in) Taint.Tagset.empty;
+    s_fresh = true;
+    s_texprs = Array.of_list (List.map compile_tex !texprs);
     s_writes = Array.of_list writes;
     s_guards = Array.of_list guards;
-    s_vals = Array.make (Array.length ranges) 0;
-    s_tags = Array.make (max 1 !n_texprs) Taint.Tagset.empty }
+    s_vals = Array.make (List.length !coefs) 0;
+    s_tags = Array.make (max 1 (List.length !texprs)) Taint.Tagset.empty }
 
 let mem_size = Vm.Machine.mem_size
 
@@ -147,78 +212,75 @@ let mem_size = Vm.Machine.mem_size
    (rather than [for] + [ref], or local closures) so the steady-state
    [apply] allocates nothing at all. *)
 
-let rec eval_terms regs (a : addr) k v =
-  if k >= Array.length a.a_regs then v
+let rec eval_terms regs (b : base) k v =
+  if k >= Array.length b.b_regs then v
   else
-    eval_terms regs a (k + 1)
+    eval_terms regs b (k + 1)
       (v
-       + Array.unsafe_get a.a_coefs k
-         * Array.unsafe_get regs (Array.unsafe_get a.a_regs k))
+       + Array.unsafe_get b.b_coefs k
+         * Array.unsafe_get regs (Array.unsafe_get b.b_regs k))
 
-(* Evaluate every touched address into [s_vals]; [false] on the first
-   bounds miss.  Unmasked evaluation is conservative: a
-   wrapped-but-in-bounds address deopts rather than risking a mismatch
-   with the CPU. *)
-let rec eval_addrs s m i =
-  i >= Array.length s.s_addrs
+(* 1. evaluate each base's linear part into [s_vals] and bounds-check
+   the span of its ranges; [false] on the first miss.  Unmasked
+   evaluation is conservative: a wrapped-but-in-bounds address deopts
+   rather than risking a mismatch with the CPU. *)
+let rec eval_bases s regs i =
+  i >= Array.length s.s_bases
   || begin
-    let a = Array.unsafe_get s.s_addrs i in
-    let v = eval_terms (Vm.Machine.regs m) a 0 a.a_disp in
-    v >= 0
-    && v + a.a_len <= mem_size
+    let b = Array.unsafe_get s.s_bases i in
+    let v = eval_terms regs b 0 0 in
+    v + b.b_lo >= 0
+    && v + b.b_hi <= mem_size
     && begin
       Array.unsafe_set s.s_vals i v;
-      eval_addrs s m (i + 1)
+      eval_bases s regs (i + 1)
     end
   end
 
-(* Gather a texpr's entry inputs into its memo slots; the result is
-   "every input was pointer-equal to the previous application's". *)
-let rec gather_regs tags x k same =
-  if k >= Array.length x.c_regs then same
+(* The address of range [r], after [eval_bases]. *)
+let[@inline] addr s (r : range) = Array.unsafe_get s.s_vals r.r_base + r.r_disp
+
+(* 2. gather every input into the memo vector — each distinct
+   register tag and each distinct range, read from the entry shadow
+   once — and return the mask of the slots that differ from the last
+   application's (tag sets are interned: one pointer compare each) *)
+let rec gather_regs s tags k changed =
+  if k >= Array.length s.s_in_regs then changed
   else begin
-    let t = Array.unsafe_get tags (Array.unsafe_get x.c_regs k) in
-    if t != Array.unsafe_get x.c_in k then begin
-      Array.unsafe_set x.c_in k t;
-      gather_regs tags x (k + 1) false
+    let t = Array.unsafe_get tags (Array.unsafe_get s.s_in_regs k) in
+    if t != Array.unsafe_get s.s_in k then begin
+      Array.unsafe_set s.s_in k t;
+      gather_regs s tags (k + 1) (changed lor slot_bit k)
     end
-    else gather_regs tags x (k + 1) same
+    else gather_regs s tags (k + 1) changed
   end
 
-let rec gather_mems s shadow x nr k same =
-  if k >= Array.length x.c_mems then same
+let rec gather_mems s shadow nr k changed =
+  if k >= Array.length s.s_in_mems then changed
   else begin
-    let ai = Array.unsafe_get x.c_mems k in
-    let t =
-      Shadow.range shadow
-        (Array.unsafe_get s.s_vals ai)
-        (Array.unsafe_get s.s_addrs ai).a_len
-    in
-    if t != Array.unsafe_get x.c_in (nr + k) then begin
-      Array.unsafe_set x.c_in (nr + k) t;
-      gather_mems s shadow x nr (k + 1) false
+    let r = Array.unsafe_get s.s_ranges (Array.unsafe_get s.s_in_mems k) in
+    let t = Shadow.range shadow (addr s r) r.r_len in
+    let slot = nr + k in
+    if t != Array.unsafe_get s.s_in slot then begin
+      Array.unsafe_set s.s_in slot t;
+      gather_mems s shadow nr (k + 1) (changed lor slot_bit slot)
     end
-    else gather_mems s shadow x nr (k + 1) same
+    else gather_mems s shadow nr (k + 1) changed
   end
 
-let rec union_inputs sp x k n acc =
-  if k >= n then acc
+let rec union_slots s x k acc =
+  if k >= Array.length x.c_slots then acc
   else
-    union_inputs sp x (k + 1) n
-      (Taint.Tagset.union sp acc (Array.unsafe_get x.c_in k))
+    union_slots s x (k + 1)
+      (Taint.Tagset.union s.s_space acc
+         (Array.unsafe_get s.s_in (Array.unsafe_get x.c_slots k)))
 
-(* 2. evaluate every taint expression against the entry shadow — all
-   expressions are entry-relative, so reads must complete before any
-   write lands.  When every input matches the previous application's
-   (tag sets are interned, so one pointer compare each), the cached
-   union is replayed without touching the union memo. *)
-let rec eval_texprs s shadow i =
+(* 3. re-evaluate the expressions that read a changed slot, from the
+   vector; the others keep their last value *)
+let rec eval_texprs s changed i =
   if i < Array.length s.s_texprs then begin
     let x = Array.unsafe_get s.s_texprs i in
-    let nr = Array.length x.c_regs in
-    let same = gather_regs (Shadow.regs shadow) x 0 x.c_valid in
-    let same = gather_mems s shadow x nr 0 same in
-    if not same then begin
+    if x.c_mask land changed <> 0 then begin
       let seed =
         if x.c_imm then
           if x.c_hw then Taint.Tagset.union s.s_space s.s_imm s.s_hw
@@ -226,44 +288,50 @@ let rec eval_texprs s shadow i =
         else if x.c_hw then s.s_hw
         else Taint.Tagset.empty
       in
-      x.c_out <-
-        union_inputs s.s_space x 0 (nr + Array.length x.c_mems) seed;
-      x.c_valid <- true
+      let t = union_slots s x 0 seed in
+      if Array.unsafe_get s.s_tags i != t then Array.unsafe_set s.s_tags i t
     end;
-    if Array.unsafe_get s.s_tags i != x.c_out then
-      Array.unsafe_set s.s_tags i x.c_out;
-    eval_texprs s shadow (i + 1)
+    eval_texprs s changed (i + 1)
   end
 
-(* 4. the last compare/test evaluating non-empty is the guard *)
+(* the last compare/test evaluating non-empty is the guard *)
 let rec last_guard s i acc =
   if i >= Array.length s.s_guards then acc
   else
     let t = Array.unsafe_get s.s_tags (Array.unsafe_get s.s_guards i) in
-    last_guard s (i + 1) (if Taint.Tagset.is_empty t then acc else t)
+    last_guard s (i + 1) (if t == Taint.Tagset.empty then acc else t)
 
 let guard s = last_guard s 0 Taint.Tagset.empty
 
 let apply s shadow m =
-  (* 1. evaluate and bounds-check every touched address; a single miss
-     deopts the whole block (the interpreter re-runs it and faults at
-     the precise instruction) *)
-  eval_addrs s m 0
+  (* 1. a single bounds miss deopts the whole block (the interpreter
+     re-runs it and faults at the precise instruction) *)
+  eval_bases s (Vm.Machine.regs m) 0
   && begin
-    eval_texprs s shadow 0;
-    (* 3. apply writes in program order; a register that already holds
-       its new tag is not stored again *)
-    let n_writes = Array.length s.s_writes in
     let tags = Shadow.regs shadow in
-    for i = 0 to n_writes - 1 do
+    let changed = gather_regs s tags 0 0 in
+    let changed =
+      gather_mems s shadow (Array.length s.s_in_regs) 0 changed
+    in
+    let changed =
+      if s.s_fresh then begin
+        s.s_fresh <- false;
+        -1
+      end
+      else changed
+    in
+    (* every input as last time: every expression's value stands *)
+    if changed <> 0 then eval_texprs s changed 0;
+    (* 4. apply writes in program order; a register that already holds
+       its new tag is not stored again *)
+    for i = 0 to Array.length s.s_writes - 1 do
       match Array.unsafe_get s.s_writes i with
       | W_reg (r, x) ->
         let t = Array.unsafe_get s.s_tags x in
         if Array.unsafe_get tags r != t then Array.unsafe_set tags r t
-      | W_mem (ai, x) ->
-        Shadow.set_range shadow
-          (Array.unsafe_get s.s_vals ai)
-          (Array.unsafe_get s.s_addrs ai).a_len
+      | W_mem (ri, x) ->
+        let r = Array.unsafe_get s.s_ranges ri in
+        Shadow.set_range shadow (addr s r) r.r_len
           (Array.unsafe_get s.s_tags x)
     done;
     true

@@ -2,11 +2,13 @@
 
     A summary is the executable form of an {!Isa.Block.flow}: one fused
     application updates the shadow state for a whole straight-line block
-    — bounds-check every touched address, evaluate every entry-relative
-    taint expression, apply the writes in program order — exactly as
-    per-instruction {!Dataflow.step} calls would have.  Summaries are
-    built once per promoted block and applied on every subsequent hot
-    execution. *)
+    — bounds-check every touched address, read each of the block's
+    distinct inputs (entry register tags and memory ranges) once,
+    evaluate the live entry-relative taint expressions, apply the writes
+    in program order — exactly as per-instruction {!Dataflow.step} calls
+    would have.  Summaries are built once per promoted block and applied
+    on every subsequent hot execution; an application whose inputs all
+    equal the previous one's evaluates no expression at all. *)
 
 type t
 

@@ -35,6 +35,10 @@ type counts = {
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable shadow_loads : int;
+      (** shadow range reads ([harrier.shadow.loads]): one per
+          [Shadow.range] or [Shadow.byte] call, whatever its length; a
+          block summary reads each distinct range once per
+          application *)
   mutable shadow_stores : int;
   mutable shadow_refused : int;
   mutable shadow_degraded : int;

@@ -37,11 +37,19 @@ and segment = {
   seg_lens : int array;
   seg_ops : (t -> unit) option array;
       (* compiled-insn slots, filled when a chain first needs them *)
-  seg_chains : (t -> unit) option array;
+  seg_chains : chain option array;
       (* per block leader: the body's slots chained into one closure,
          built by [step_block] on the body's first compiled run.  Both
          arrays are shared with every machine mapping the same image
          (see [ops_for]), so fleet workers compile each block once *)
+}
+
+and chain = {
+  ch_body : t -> unit;  (* the body alone *)
+  ch_fused : t -> unit;
+      (* the body and then its branch terminator, when that is a [Jcc]
+         to an immediate target; [ch_body] otherwise *)
+  ch_len : int;  (* instructions [ch_fused] retires *)
 }
 
 and hooks = {
@@ -220,7 +228,7 @@ let read_cstring m addr =
    somewhere. *)
 type compiled = {
   c_ops : (t -> unit) option array;
-  c_chains : (t -> unit) option array;
+  c_chains : chain option array;
 }
 
 let ops_registry : (Isa.Insn.t array * compiled) list ref = ref []
@@ -822,22 +830,51 @@ let compile_insn (insn : Isa.Insn.t) : t -> unit =
   | Nop -> next
   | Div _ | Jmp _ | Jcc _ | Call _ | Ret | Int _ | Hlt -> not_body_safe ()
 
-(* [link ops k stop] is the body [k, stop) as one closure calling the
-   filled slots in order. *)
-let rec link ops k stop =
+(* A [Jcc] to an immediate target, as [exec] runs it after a compiled
+   body: the condition and the masked target are fixed here, and
+   control flow leaves the next instruction at a block start, as
+   [step_in] would.  A direct branch carries no taint, so nothing is
+   lost by running it without [pre_insn]. *)
+let[@inline] branch m taken a =
+  if taken then m.eip <- a else next m;
+  m.at_bb_start <- true
+
+let compile_jcc (c : Isa.Insn.cond) target : t -> unit =
+  let a = target land m32 in
+  match c with
+  | Z -> fun m -> branch m m.zf a
+  | NZ -> fun m -> branch m (not m.zf) a
+  | L -> fun m -> branch m m.lt a
+  | GE -> fun m -> branch m (not m.lt) a
+  | LE -> fun m -> branch m (m.lt || m.zf) a
+  | G -> fun m -> branch m (not (m.lt || m.zf)) a
+  | S -> fun m -> branch m m.sf a
+  | NS -> fun m -> branch m (not m.sf) a
+
+(* [link ops k stop last] is the body [k, stop) as one closure calling
+   the filled slots in order, then [last] if given. *)
+let rec link ops k stop last =
   let f = Option.get ops.(k) in
-  if k + 1 = stop then f
+  if k + 1 = stop then
+    match last with
+    | None -> f
+    | Some j ->
+      fun m ->
+        f m;
+        j m
   else begin
-    let rest = link ops (k + 1) stop in
+    let rest = link ops (k + 1) stop last in
     fun m ->
       f m;
       rest m
   end
 
 (* The chain for the body of [len] instructions at [off], built on its
-   first run: empty slots are compiled (and counted as decoded), and
-   the chain is stored beside them for every machine mapping the
-   image. *)
+   first run: empty slots are compiled (and counted as decoded), the
+   body is linked alone and, when the segment's next instruction is a
+   [Jcc] to an immediate target, once more with that branch fused on,
+   and the chain is stored beside the slots for every machine mapping
+   the image. *)
 let chain_for m seg off len =
   match Array.unsafe_get seg.seg_chains off with
   | Some c -> c
@@ -848,7 +885,22 @@ let chain_for m seg off len =
         seg.seg_ops.(k) <- Some (compile_insn seg.seg_insns.(k))
       end
     done;
-    let c = link seg.seg_ops off (off + len) in
+    let next = off + len in
+    let branch =
+      if next = Array.length seg.seg_insns then None
+      else
+        match seg.seg_insns.(next) with
+        | Jcc (cond, Imm target) -> Some (compile_jcc cond target)
+        | _ -> None
+    in
+    let body = link seg.seg_ops off next None in
+    let c =
+      match branch with
+      | None -> { ch_body = body; ch_fused = body; ch_len = len }
+      | Some _ ->
+        { ch_body = body; ch_fused = link seg.seg_ops off next branch;
+          ch_len = len + 1 }
+    in
     seg.seg_chains.(off) <- Some c;
     c
 
@@ -856,13 +908,17 @@ let chain_for m seg off len =
    the remaining [fuel], offer the block to the [on_block] hook.  If it
    accepts (the tier policy has promoted the block and applied — or
    deliberately skipped — its taint summary), the body runs as its
-   compiled chain with no per-instruction hook calls; the terminator
-   and every other case take the interpreted [step] path unchanged.
-   Per-instruction accounting is hoisted to one add per kind and, on a
-   mid-body fault, rolled back to the faulting instruction, whose index
-   is [eip - leader] because every body instruction advances [eip] by
-   one.  The number of instructions retired (for quantum accounting) is
-   left in [m.retired]. *)
+   compiled chain with no per-instruction hook calls.  A [Jcc] to an
+   immediate target right after the body runs fused on the chain when
+   the fuel covers it too, so a hot loop's whole iteration is one
+   dispatch; every other terminator, and every other case, takes the
+   interpreted [step] path unchanged.  Per-instruction accounting is
+   hoisted to one add per kind — the fused branch counts what its
+   interpreted step would have: one instruction, one fetch-cache hit
+   and no block — and, on a mid-body fault, rolled back to the
+   faulting instruction, whose index is [eip - leader] because every
+   body instruction advances [eip] by one.  The number of instructions
+   retired (for quantum accounting) is left in [m.retired]. *)
 let step_block m ~fuel =
   match m.status with
   | (Halted | Faulted _) as s -> stopped m s
@@ -878,19 +934,21 @@ let step_block m ~fuel =
         m.n_blocks <- m.n_blocks + 1;
         m.h.on_bb m m.eip;
         m.at_bb_start <- false;
+        let c = chain_for m seg off len in
+        let n = if c.ch_len <= fuel then c.ch_len else len in
         (* the first fetch was counted by [seg_for]; the rest of the
-           body would all hit the one-entry cache *)
-        m.retired <- len;
-        m.n_insns <- m.n_insns + len;
-        m.n_fetch_hits <- m.n_fetch_hits + (len - 1);
-        match chain_for m seg off len m with
+           body and the branch would all hit the one-entry cache *)
+        m.retired <- n;
+        m.n_insns <- m.n_insns + n;
+        m.n_fetch_hits <- m.n_fetch_hits + (n - 1);
+        match (if n = len then c.ch_body else c.ch_fused) m with
         | () -> Continue
         | exception Fault_exn f ->
           let i = m.eip - (seg.seg_base + off) in
           m.status <- Faulted f;
           m.retired <- i + 1;
-          m.n_insns <- m.n_insns + (i + 1 - len);
-          m.n_fetch_hits <- m.n_fetch_hits + (i - (len - 1));
+          m.n_insns <- m.n_insns + (i + 1 - n);
+          m.n_fetch_hits <- m.n_fetch_hits + (i - (n - 1));
           Stopped m.status
       end
     end

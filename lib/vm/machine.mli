@@ -29,6 +29,10 @@ exception Fault_exn of fault
 
 type t
 
+(** A block's compiled body, with its branch terminator fused on when
+    that is a [Jcc] to an immediate target (see {!step_block}). *)
+type chain
+
 (** A mapped text segment: the executable or one shared object. *)
 type segment = {
   seg_base : int;
@@ -40,7 +44,7 @@ type segment = {
   seg_ops : (t -> unit) option array;
       (** compiled-instruction slots, filled by {!step_block} when a
           block first runs compiled *)
-  seg_chains : (t -> unit) option array;
+  seg_chains : chain option array;
       (** per block leader: the body's slots chained into one closure.
           Slots and chains are shared by every machine mapping the same
           image *)
@@ -59,7 +63,10 @@ type hooks = {
           Return [true] to execute it as compiled closures with no
           per-instruction [pre_insn] calls — the hook owns whatever
           per-block bookkeeping (taint summary application) replaces
-          them — or [false] to interpret as usual. *)
+          them — or [false] to interpret as usual.  An accepted block
+          stands in for [pre_insn] on its body {e and} on a [Jcc] to
+          an immediate target that {!step_block} fuses on after it: a
+          direct branch carries no taint. *)
 }
 
 val no_hooks : unit -> hooks
@@ -152,17 +159,22 @@ val step : t -> outcome
     start whose straight-line body has at most [fuel] instructions, the
     body is offered to the [on_block] hook and — if accepted — runs as
     one closure chaining the body's operand-specialised instructions
-    (no per-instruction hooks, no per-instruction dispatch); in every
-    other case exactly one instruction is interpreted via {!step}.  Equivalent to [fuel] iterated {!step}s up to the accepted
+    (no per-instruction hooks, no per-instruction dispatch).  When the
+    instruction after the body is a [Jcc] to an immediate target and
+    [fuel] covers it as well, that branch runs on the same chain,
+    counted as its interpreted step would be (one instruction, one
+    fetch-cache hit, no block) but without [pre_insn].  In every other
+    case exactly one instruction is interpreted via {!step}.
+    Equivalent to [fuel] iterated {!step}s up to the accepted
     per-block instrumentation.  Allocates nothing on the steady-state
     path: the retired count is read back with {!retired}. *)
 val step_block : t -> fuel:int -> outcome
 
 (** [retired m] is the number of instructions the last {!step} or
     {!step_block} retired, for quantum accounting: the body length for
-    a compiled body (up to and including the faulting instruction on a
-    mid-body fault), 1 for an interpreted step, 0 on an already-stopped
-    machine. *)
+    a compiled body, plus one when its branch ran fused (up to and
+    including the faulting instruction on a mid-body fault), 1 for an
+    interpreted step, 0 on an already-stopped machine. *)
 val retired : t -> int
 
 (** {2 Counters}

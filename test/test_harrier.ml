@@ -44,6 +44,37 @@ let test_shadow_clone () =
   Alcotest.check tagset "original unchanged" (tag_of [ user ])
     (Harrier.Shadow.byte s 5)
 
+(* A guest's length reaches [range] unchecked (the pre-syscall write
+   hook reads the buffer before the kernel validates it).  The read is
+   clamped to the address space, so it visits at most its 256 pages:
+   a thousand reads of 4 GiB take well under a second of CPU, where
+   walking every 4 KiB page of the length would take ~45 ms each. *)
+let test_shadow_guest_lengths () =
+  let s = Harrier.Shadow.create ~space:sp () in
+  Harrier.Shadow.set_range s 0x1000 4 (tag_of [ user ]);
+  Harrier.Shadow.set_byte s 0xFFFFF (tag_of [ file_a ]);
+  Alcotest.check tagset "4 GiB read from 0x1000" (tag_of [ user; file_a ])
+    (Harrier.Shadow.range s 0x1000 0xFFFFFFFF);
+  Alcotest.check tagset "read from below the space" (tag_of [ user ])
+    (Harrier.Shadow.range s (-4) 0x1008);
+  Alcotest.check tagset "beyond the space reads empty" Taint.Tagset.empty
+    (Harrier.Shadow.range s 0x100000 0xFFFFFFFF);
+  let t0 = Sys.time () in
+  for _ = 1 to 1000 do
+    ignore (Harrier.Shadow.range s 0x1000 0xFFFFFFFF)
+  done;
+  check "1000 reads of 4 GiB in under 1 s of CPU" true
+    (Sys.time () -. t0 < 1.0);
+  (* a store past the end keeps its in-space bytes, and the rest of
+     its tag widens every read rather than vanishing *)
+  check "not degraded yet" false (Harrier.Shadow.degraded s);
+  Harrier.Shadow.set_range s 0xFFFFE 4 (tag_of [ bin_x ]);
+  Alcotest.check tagset "in-space part stored" (tag_of [ bin_x ])
+    (Harrier.Shadow.byte s 0xFFFFE);
+  check "the rest is refused" true (Harrier.Shadow.degraded s);
+  Alcotest.check tagset "and widens other reads" (tag_of [ user; bin_x ])
+    (Harrier.Shadow.range s 0x1000 4)
+
 (* ------------------------------------------------------------------ *)
 (* Dataflow                                                            *)
 
@@ -146,6 +177,129 @@ let test_df_call_clears_ret_slot () =
   step_df s m (Call (Imm 0x200));
   Alcotest.check tagset "return address untainted" Taint.Tagset.empty
     (Harrier.Shadow.range s (0xF000 - 4) 4)
+
+(* ------------------------------------------------------------------ *)
+(* Block summaries                                                     *)
+
+(* One summary applied three times, with exactly one input tag changed
+   between applications — a register, then a memory range.  Each
+   application must leave the shadow and the guard exactly as
+   interpreting the block with [Dataflow.step] does: the block memo
+   re-evaluates what the change reaches and keeps the rest.  The first
+   instruction's write is dead (overwritten by the load), so ESI's tag
+   is no input at all; EDI's value is a constant. *)
+let test_summary_one_input_changed () =
+  let open Isa.Insn in
+  let body =
+    [ Mov (W, Reg EAX, Reg ESI);
+      Mov (W, Reg EAX, Isa.Operand.mem ~base:ESI 0x4000);
+      Mov (W, Reg EBX, Reg ECX);
+      Add (Reg EBX, Reg EDX);
+      Mov (W, Isa.Operand.mem 0x5000, Reg EAX);
+      Mov (W, Reg EDI, Imm 7);
+      Cmp (W, Reg EBX, Imm 3) ]
+  in
+  let text = Array.of_list (body @ [ Hlt ]) in
+  let flow =
+    match Isa.Block.analyze text ~pos:0 ~len:(List.length body) with
+    | Some f -> f
+    | None -> Alcotest.fail "body not summarizable"
+  in
+  let sm = Harrier.Summary.make ~space:sp ~imm_tag flow in
+  let m = machine_with (body @ [ Hlt ]) in
+  Vm.Machine.set_reg m ESI 0x10;
+  let s = Harrier.Shadow.create ~space:sp () in
+  let r = Harrier.Shadow.create ~space:sp () in
+  let both f = f s; f r in
+  both (fun sh -> Harrier.Shadow.set_reg sh ECX (tag_of [ user ]));
+  both (fun sh -> Harrier.Shadow.set_reg sh EDX (tag_of [ file_a ]));
+  both (fun sh -> Harrier.Shadow.set_range sh 0x4010 4 (tag_of [ file_a ]));
+  let application label =
+    check (label ^ ": applied") true (Harrier.Summary.apply sm s m);
+    (* the reference: the hooks' per-instruction path on a copy of the
+       machine, the guard as the monitor computes it for Cmp *)
+    let mc = Vm.Machine.clone m in
+    let guard = ref Taint.Tagset.empty in
+    List.iter
+      (fun insn ->
+        (match insn with
+         | Cmp (sz, a, b) ->
+           let tag =
+             Taint.Tagset.union sp
+               (Harrier.Dataflow.operand_tag r mc Taint.Tagset.empty sz a)
+               (Harrier.Dataflow.operand_tag r mc Taint.Tagset.empty sz b)
+           in
+           if not (Taint.Tagset.is_empty tag) then guard := tag
+         | _ -> ());
+        step_df r mc insn;
+        ignore (Vm.Machine.step mc))
+      body;
+    List.iter
+      (fun reg ->
+        Alcotest.check tagset
+          (label ^ ": " ^ Isa.Reg.name reg)
+          (Harrier.Shadow.reg r reg) (Harrier.Shadow.reg s reg))
+      Isa.Reg.all;
+    List.iter
+      (fun a ->
+        Alcotest.check tagset
+          (Printf.sprintf "%s: byte 0x%x" label a)
+          (Harrier.Shadow.byte r a) (Harrier.Shadow.byte s a))
+      (List.init 32 (fun i -> 0x4000 + i) @ List.init 8 (fun i -> 0x5000 + i));
+    Alcotest.check tagset (label ^ ": guard") !guard
+      (Harrier.Summary.guard sm)
+  in
+  application "first";
+  both (fun sh -> Harrier.Shadow.set_reg sh ECX (tag_of [ bin_x ]));
+  application "register changed";
+  both (fun sh -> Harrier.Shadow.set_range sh 0x4011 2 (tag_of [ user ]));
+  application "range changed";
+  both (fun sh -> Harrier.Shadow.set_reg sh ESI (tag_of [ user ]));
+  application "dead input changed"
+
+(* A summary applies only when every range it touches lies in the
+   address space, and otherwise deopts (returns [false]) without
+   touching the shadow, so the interpreter faults at the right
+   instruction.  Ranges sharing one register part are checked as one
+   span: a word load at [esi+0x4000] and a byte store at [esi+0x4010]
+   may not run past the end, and a push's word at [esp-4] may not start
+   below 0. *)
+let test_summary_bounds () =
+  let open Isa.Insn in
+  let applies body regs =
+    let text = Array.of_list (body @ [ Hlt ]) in
+    let flow =
+      match Isa.Block.analyze text ~pos:0 ~len:(List.length body) with
+      | Some f -> f
+      | None -> Alcotest.fail "body not summarizable"
+    in
+    let sm = Harrier.Summary.make ~space:sp ~imm_tag flow in
+    let m = machine_with (body @ [ Hlt ]) in
+    List.iter (fun (r, v) -> Vm.Machine.set_reg m r v) regs;
+    let s = Harrier.Shadow.create ~space:sp () in
+    Harrier.Shadow.set_reg s EAX (tag_of [ user ]);
+    let ok = Harrier.Summary.apply sm s m in
+    if not ok then
+      check_int "a deopt leaves the shadow untouched" 0
+        (Harrier.Shadow.tagged_bytes s);
+    ok
+  in
+  let span =
+    [ Mov (W, Reg EBX, Isa.Operand.mem ~base:ESI 0x4000);
+      Mov (B, Isa.Operand.mem ~base:ESI 0x4010, Reg EAX) ]
+  in
+  let top = Vm.Machine.mem_size - 0x4011 in
+  check "span ends at the last byte" true (applies span [ ESI, top ]);
+  check "span's store one past the end" false (applies span [ ESI, top + 1 ]);
+  let near = Vm.Machine.mem_size - 0x4004 in
+  check "load ends at the last byte" true
+    (applies [ Mov (W, Reg EBX, Isa.Operand.mem ~base:ESI 0x4000) ]
+       [ ESI, near ]);
+  check "load straddles the end" false
+    (applies [ Mov (W, Reg EBX, Isa.Operand.mem ~base:ESI 0x4000) ]
+       [ ESI, near + 2 ]);
+  check "push to address 0" true (applies [ Push (Reg EAX) ] [ ESP, 4 ]);
+  check "push below 0" false (applies [ Push (Reg EAX) ] [ ESP, 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Frequency                                                           *)
@@ -459,6 +613,8 @@ let suite =
   [ Alcotest.test_case "shadow registers" `Quick test_shadow_regs;
     Alcotest.test_case "shadow memory ranges" `Quick test_shadow_memory;
     Alcotest.test_case "shadow clone isolation" `Quick test_shadow_clone;
+    Alcotest.test_case "shadow reads of guest lengths are bounded" `Quick
+      test_shadow_guest_lengths;
     Alcotest.test_case "dataflow mov reg" `Quick test_df_mov_reg;
     Alcotest.test_case "dataflow immediate is BINARY" `Quick
       test_df_mov_imm;
@@ -472,6 +628,10 @@ let suite =
       test_df_cmp_propagates_nothing;
     Alcotest.test_case "dataflow call clears return slot" `Quick
       test_df_call_clears_ret_slot;
+    Alcotest.test_case "summary memo: one input changed" `Quick
+      test_summary_one_input_changed;
+    Alcotest.test_case "summary bounds: deopt past either end" `Quick
+      test_summary_bounds;
     Alcotest.test_case "frequency counting" `Quick test_freq_counting;
     Alcotest.test_case "frequency library attribution (Fig. 3)" `Quick
       test_freq_library_attribution;

@@ -557,6 +557,201 @@ let prop_shadow_clone_independent =
         (List.init shadow_span Fun.id))
 
 (* ------------------------------------------------------------------ *)
+(* The shadow against a byte-map model over the whole address space:
+   random stores, reads and clones, with addresses and lengths that
+   straddle pages, run past the 1 MiB space or start below it, and an
+   optional page budget small enough to refuse stores.  The model
+   keeps the non-empty in-space bytes and the overflow set: a store's
+   part beyond the space, and each page piece a full budget refuses,
+   widens every later read of that shadow.  Clones copy the model, and
+   each later operation goes to one shadow only, so parent and clone
+   must stay isolated in both directions.                               *)
+
+type smodel = {
+  sm_bytes : (int, Taint.Tagset.t) Hashtbl.t;  (* non-empty, in space *)
+  mutable sm_over : Taint.Tagset.t;
+}
+
+type sop =
+  | Sm_store of int * int * int * Taint.Tagset.t  (* shadow, addr, len *)
+  | Sm_byte of int * int * Taint.Tagset.t
+  | Sm_read of int * int * int
+  | Sm_clone of int
+
+let sm_space = Vm.Machine.mem_size
+let sm_page a = a lsr 12
+
+let sm_live_pages m =
+  let pages = Hashtbl.create 8 in
+  Hashtbl.iter (fun a _ -> Hashtbl.replace pages (sm_page a) ()) m.sm_bytes;
+  Hashtbl.length pages
+
+let sm_union = Taint.Tagset.union sp
+
+let sm_store ~budget m addr len tag =
+  let nonempty = not (Taint.Tagset.is_empty tag) in
+  if len > 0 then begin
+    (* [addr + len] may overflow: compare against the space instead *)
+    let past = addr >= sm_space || len > sm_space - addr in
+    let lo = max addr 0 and hi = if past then sm_space else addr + len in
+    if (addr < 0 || past) && nonempty then
+      m.sm_over <- sm_union m.sm_over tag;
+    (* page by page, as the shadow allocates *)
+    let rec piece a =
+      if a < hi then begin
+        let stop = min hi ((sm_page a + 1) lsl 12) in
+        let mapped =
+          Hashtbl.fold
+            (fun b _ acc -> acc || sm_page b = sm_page a) m.sm_bytes false
+        in
+        if (not mapped) && nonempty && sm_live_pages m >= budget then
+          m.sm_over <- sm_union m.sm_over tag
+        else
+          for b = a to stop - 1 do
+            if nonempty then Hashtbl.replace m.sm_bytes b tag
+            else Hashtbl.remove m.sm_bytes b
+          done;
+        piece stop
+      end
+    in
+    piece lo
+  end
+
+let sm_widen m t =
+  if Taint.Tagset.is_empty m.sm_over then t else sm_union t m.sm_over
+
+let sm_range m addr len =
+  if len <= 0 then Taint.Tagset.empty
+  else
+    sm_widen m
+      (Hashtbl.fold
+         (fun a t acc ->
+           if a >= addr && a - addr < len then sm_union acc t else acc)
+         m.sm_bytes Taint.Tagset.empty)
+
+(* Stores keep their in-space part small (the model is per byte);
+   reads may span the whole space, as a guest's write length can. *)
+let sm_store_span =
+  let open Gen in
+  frequency
+    [ 4,
+      pair
+        (map2 ( + )
+           (oneofl [ 0; 0xFFE; 0x1000; 0x3FFC; 0x8000 ]) (int_bound 6))
+        (oneofl [ 0; 1; 2; 3; 4; 5; 8; 64; 4095; 4096; 4097; -1 ]);
+      2,
+      pair
+        (oneofl
+           [ 0xFFFF0; 0xFFFFC; 0xFFFFE; 0xFFFFF; 0x100000; 0x100003;
+             0x7FFFFFFF; 0xFFFFFFFF ])
+        (oneofl [ 1; 2; 4; 16; 0x100000; 0xFFFFFFFF; max_int ]);
+      1, pair (oneofl [ -1; -4; -4096 ]) (oneofl [ 1; 4; 5; 8; 4100 ]) ]
+
+let sm_read_span =
+  let open Gen in
+  frequency
+    [ 3, sm_store_span;
+      1,
+      pair (oneofl [ 0; 0x1000; 0x3FFE; 0xFFFFF ])
+        (oneofl [ 0x100000; 0xFFFFFFFF; max_int ]) ]
+
+let sm_tag_gen =
+  Gen.frequency [ 1, Gen.return Taint.Tagset.empty; 3, tagset_gen ]
+
+let sop_gen =
+  let open Gen in
+  let target = int_bound 3 in
+  frequency
+    [ 4,
+      map3 (fun i (a, len) t -> Sm_store (i, a, len, t)) target
+        sm_store_span sm_tag_gen;
+      2,
+      map3 (fun i (a, _) t -> Sm_byte (i, a, t)) target sm_store_span
+        sm_tag_gen;
+      3, map2 (fun i (a, len) -> Sm_read (i, a, len)) target sm_read_span;
+      1, map (fun i -> Sm_clone i) target ]
+
+let sop_print = function
+  | Sm_store (i, a, len, t) ->
+    Printf.sprintf "store#%d 0x%x %d %s" i a len (Taint.Tagset.to_string t)
+  | Sm_byte (i, a, t) ->
+    Printf.sprintf "byte#%d 0x%x %s" i a (Taint.Tagset.to_string t)
+  | Sm_read (i, a, len) -> Printf.sprintf "read#%d 0x%x %d" i a len
+  | Sm_clone i -> Printf.sprintf "clone#%d" i
+
+let prop_shadow_model_whole_space =
+  Test.make
+    ~name:"shadow agrees with a byte-map model across the whole space"
+    ~count:300
+    (make
+       ~print:(fun (budget, ops) ->
+         Printf.sprintf "budget=%s\n%s"
+           (match budget with None -> "none" | Some b -> string_of_int b)
+           (String.concat "\n" (List.map sop_print ops)))
+       Gen.(
+         pair
+           (oneofl [ None; Some 0; Some 1; Some 2; Some 3 ])
+           (list_size (int_bound 16) sop_gen)))
+    (fun (page_budget, ops) ->
+      let budget = Option.value page_budget ~default:max_int in
+      let shadows =
+        ref
+          [| ( Harrier.Shadow.create ?page_budget ~space:sp (),
+               { sm_bytes = Hashtbl.create 16;
+                 sm_over = Taint.Tagset.empty } ) |]
+      in
+      let pick i = !shadows.(i mod Array.length !shadows) in
+      let agrees (s, m) =
+        Harrier.Shadow.degraded s = not (Taint.Tagset.is_empty m.sm_over)
+        && Harrier.Shadow.live_pages s = sm_live_pages m
+        && Harrier.Shadow.tagged_bytes s = Hashtbl.length m.sm_bytes
+        && Hashtbl.fold
+             (fun a _ ok ->
+               ok
+               && List.for_all
+                    (fun d ->
+                      Taint.Tagset.equal
+                        (Harrier.Shadow.byte s (a + d))
+                        (sm_widen m
+                           (Option.value ~default:Taint.Tagset.empty
+                              (Hashtbl.find_opt m.sm_bytes (a + d)))))
+                    [ -1; 0; 1 ])
+             m.sm_bytes true
+        && Taint.Tagset.equal
+             (Harrier.Shadow.range s 0 sm_space)
+             (sm_range m 0 sm_space)
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Sm_store (i, a, len, t) ->
+              let s, m = pick i in
+              Harrier.Shadow.set_range s a len t;
+              sm_store ~budget m a len t;
+              true
+            | Sm_byte (i, a, t) ->
+              let s, m = pick i in
+              Harrier.Shadow.set_byte s a t;
+              sm_store ~budget m a 1 t;
+              true
+            | Sm_read (i, a, len) ->
+              let s, m = pick i in
+              Taint.Tagset.equal (Harrier.Shadow.range s a len)
+                (sm_range m a len)
+            | Sm_clone i ->
+              let s, m = pick i in
+              shadows :=
+                Array.append !shadows
+                  [| ( Harrier.Shadow.clone s,
+                       { sm_bytes = Hashtbl.copy m.sm_bytes;
+                         sm_over = m.sm_over } ) |];
+              true
+          in
+          ok && Array.for_all agrees !shadows)
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* Engine refraction                                                   *)
 
 let prop_engine_refraction =
@@ -739,10 +934,17 @@ let prop_obs_counters_ground_truth =
    memory, Lea over every address form — with registers and
    displacements drawn so that words straddle pages (offsets
    0xffd-0xfff) and addresses reach 1 MiB and beyond, so bodies fault
-   part-way and the compiled path's rollback runs.  A jump tree after
-   the body halts at one of eight addresses chosen by the flags.  The
-   final registers, eip, status, memory, retired total and the settled
-   VM counts must agree.                                                *)
+   part-way and the compiled path's rollback runs.  The body ends in a
+   random terminator: a [Jcc] on any condition to an immediate target
+   (a halt of its own when taken), which [step_block] fuses onto the
+   chain; a [Jcc] through a register or a [Jmp], which stay
+   interpreted; or none.  After it a jump tree halts at one of eight
+   addresses chosen by the flags; its first node is a fused [Jcc] too.
+   The compiled run is cut into quanta as the kernel cuts it, of the
+   body's length (so the fused branch does not fit and must stay
+   interpreted at the quantum edge), one more, or far more.  The final
+   registers, eip, status, memory, retired total and the settled VM
+   counts must agree, and no step may overrun its quantum.              *)
 
 let blk_base = 0x1000
 
@@ -836,14 +1038,36 @@ let blk_vm_counters =
   [ "vm.instructions"; "vm.blocks"; "vm.fetch_cache.hits";
     "vm.fetch_cache.misses" ]
 
-(* Run [body] from [regs] to a stop, by [step_block] when [compiled]
-   and by [step] otherwise; the final state as comparable values, and
-   the number of instruction slots decoded. *)
-let blk_run ~compiled body regs =
+(* The instruction after the body: [None] runs straight into the jump
+   tree. *)
+let blk_term_gen n : Isa.Insn.t option Gen.t =
+  let open Gen in
+  (* the far halt after the tree: a taken branch stops there *)
+  let far = blk_base + n + 1 + 22 in
+  let cond = oneofl Isa.Insn.[ Z; NZ; L; GE; LE; G; S; NS ] in
+  frequency
+    [ 4, map (fun c -> Some (Isa.Insn.Jcc (c, Imm far))) cond;
+      1,
+      map2 (fun c r -> Some (Isa.Insn.Jcc (c, Reg r))) cond
+        (oneofl Isa.Reg.all);
+      1, return (Some (Isa.Insn.Jmp (Imm (blk_base + n + 1))));
+      1, return None ]
+
+(* Run [body], then [term], from [regs] to a stop, by [step_block] in
+   quanta of [quantum] instructions when [compiled] and by [step]
+   otherwise; the final state as comparable values, the number of
+   instruction slots decoded, and whether a step overran its
+   quantum. *)
+let blk_run ~compiled ~quantum body term regs =
   let n = List.length body in
+  let text =
+    match term with
+    | None -> body @ flag_tree n
+    | Some t -> body @ (t :: flag_tree (n + 1)) @ [ Isa.Insn.Hlt ]
+  in
   let img =
     Binary.Image.make ~path:"/b" ~kind:Binary.Image.Executable
-      ~base:blk_base ~text:(Array.of_list (body @ flag_tree n))
+      ~base:blk_base ~text:(Array.of_list text)
       ~sections:[] ~exports:[] ~relocs:[] ~needed:[] ~entry:blk_base
   in
   let hooks = Vm.Machine.no_hooks () in
@@ -858,17 +1082,20 @@ let blk_run ~compiled body regs =
   List.iter2 (Vm.Machine.set_reg m) Isa.Reg.all regs;
   Vm.Machine.set_eip m blk_base;
   let before = Obs.snapshot () in
-  let rec go retired =
+  let overran = ref false in
+  let rec go steps retired =
     let out =
-      if compiled then Vm.Machine.step_block m ~fuel:1000
+      if compiled then Vm.Machine.step_block m ~fuel:(quantum - steps)
       else Vm.Machine.step m
     in
-    let retired = retired + Vm.Machine.retired m in
+    let r = Vm.Machine.retired m in
+    if steps + r > quantum then overran := true;
+    let steps = if steps + r >= quantum then 0 else steps + r in
     match out with
-    | Vm.Machine.Stopped _ -> retired
-    | Continue | Syscall _ -> go retired
+    | Vm.Machine.Stopped _ -> retired + r
+    | Continue | Syscall _ -> go steps (retired + r)
   in
-  let retired = go 0 in
+  let retired = go 0 0 in
   Vm.Machine.settle m;
   let d = Obs.diff ~before ~after:(Obs.snapshot ()) in
   let count c = Option.value ~default:0 (List.assoc_opt c d) in
@@ -878,33 +1105,47 @@ let blk_run ~compiled body regs =
       retired,
       Vm.Machine.read_bytes m 0 Vm.Machine.mem_size,
       List.map count blk_vm_counters ),
-    count "vm.blocks.decoded" )
+    count "vm.blocks.decoded",
+    !overran )
 
 let prop_block_matches_step =
   Test.make ~name:"compiled bodies match step at the machine" ~count:400
     (make
-       ~print:(fun (regs, body) ->
-         Printf.sprintf "regs=[%s] body=[%s]"
+       ~print:(fun (regs, body, (term, q)) ->
+         Printf.sprintf "regs=[%s] body=[%s] term=%s quantum=%s"
            (String.concat "; " (List.map (Printf.sprintf "0x%x") regs))
-           (String.concat "; " (List.map Isa.Insn.to_string body)))
+           (String.concat "; " (List.map Isa.Insn.to_string body))
+           (match term with None -> "-" | Some t -> Isa.Insn.to_string t)
+           (match q with 0 -> "len" | 1 -> "len+1" | _ -> "1000"))
        Gen.(
          pair
            (map2 (fun rs esp -> rs @ [ esp ])
               (list_repeat 7 blk_reg_value) blk_esp)
-           (list_size (int_range 1 20) blk_insn_gen)))
-    (fun (regs, body) ->
-      let compiled, decoded_c = blk_run ~compiled:true body regs in
-      let interpreted, decoded_i = blk_run ~compiled:false body regs in
+           (list_size (int_range 1 20) blk_insn_gen)
+         >>= fun (regs, body) ->
+         pair (blk_term_gen (List.length body)) (int_bound 2)
+         >|= fun tq -> (regs, body, tq)))
+    (fun (regs, body, (term, q)) ->
+      let n = List.length body in
+      let quantum = match q with 0 -> n | 1 -> n + 1 | _ -> 1000 in
+      let compiled, decoded_c, overran =
+        blk_run ~compiled:true ~quantum body term regs
+      in
+      let interpreted, decoded_i, _ =
+        blk_run ~compiled:false ~quantum body term regs
+      in
       (* the chain decodes the whole body on its first run, even when
          that run faults part-way *)
-      compiled = interpreted && decoded_c = List.length body
-      && decoded_i = 0)
+      compiled = interpreted && decoded_c = n && decoded_i = 0
+      && not overran)
 
 (* ------------------------------------------------------------------ *)
 (* Tier equivalence: compiled blocks with fused taint summaries vs
    pure interpretation.  A random straight-line body runs in a counted
    loop hot enough to promote at threshold 1, with tainted stdin read
    into the data region before the loop and written out after it.  The
+   loop's closing [Jcc] runs fused after the body; an optional inner
+   [Jcc] on a random condition splits the body, taken or not.  The
    generator deliberately includes blocks the tier must reject or
    window (pop-to-memory, bodies longer than the compile window), and
    register-based memory operands whose addresses can leave the address
@@ -1005,9 +1246,21 @@ let tier_body_gen : Isa.Insn.t Gen.t =
 
 (* read(stdin, 0x4000, 16); loop iters times over the body; write the
    buffer to stdout; halt.  One address per instruction, so the loop
-   head is base + 6. *)
-let tier_program iters body : Isa.Insn.t list =
+   head is base + 6.  With [split = Some (c, k)] the body's first [k]
+   instructions end in a [Jcc c] whose taken target skips the rest of
+   the body, so both blocks end in a fused branch that goes either
+   way. *)
+let tier_program ?split iters body : Isa.Insn.t list =
   let loop_head = 0x1000 + 6 in
+  let body =
+    match split with
+    | None -> body
+    | Some (c, k) ->
+      let k = min k (List.length body) in
+      let tail = loop_head + List.length body + 1 in
+      List.filteri (fun i _ -> i < k) body
+      @ (Isa.Insn.Jcc (c, Imm tail) :: List.filteri (fun i _ -> i >= k) body)
+  in
   [ Isa.Insn.Mov (W, Reg EAX, Imm 3) (* SYS_read *);
     Mov (W, Reg EBX, Imm 0);
     Mov (W, Reg ECX, Imm 0x4000);
@@ -1079,12 +1332,21 @@ let prop_tier_equivalence =
     ~name:"tiered execution is observationally identical to interpretation"
     ~count:40
     (make
-       ~print:(fun (iters, body) ->
-         Printf.sprintf "iters=%d body=[%s]" iters
-           (String.concat "; " (List.map Isa.Insn.to_string body)))
-       Gen.(pair (int_range 1 8) (list_size (int_bound 24) tier_body_gen)))
-    (fun (iters, body) ->
-      let insns = tier_program iters body in
+       ~print:(fun (iters, body, split) ->
+         Printf.sprintf "iters=%d body=[%s] split=%s" iters
+           (String.concat "; " (List.map Isa.Insn.to_string body))
+           (match split with
+            | None -> "-"
+            | Some (c, k) ->
+              Printf.sprintf "%s@%d"
+                (Isa.Insn.to_string (Jcc (c, Imm 0))) k))
+       Gen.(
+         triple (int_range 1 8) (list_size (int_bound 24) tier_body_gen)
+           (opt
+              (pair (oneofl Isa.Insn.[ Z; NZ; L; GE; LE; G; S; NS ])
+                 (int_bound 12)))))
+    (fun (iters, body, split) ->
+      let insns = tier_program ?split iters body in
       tier_agrees ~dataflow:true insns && tier_agrees ~dataflow:false insns)
 
 (* ------------------------------------------------------------------ *)
@@ -1256,7 +1518,8 @@ let props =
     prop_fs_roundtrip; prop_shadow_range_union; prop_engine_refraction;
     prop_secure_no_data; prop_trace_roundtrip; prop_flow_decoder_total;
     prop_dataflow_matches_reference; prop_obs_counters_ground_truth;
-    prop_tier_equivalence; prop_block_matches_step ]
+    prop_tier_equivalence; prop_block_matches_step;
+    prop_shadow_model_whole_space ]
 
 (* ------------------------------------------------------------------ *)
 (* Reproducible randomness.  QCHECK_SEED=<int> pins the generator seed;

@@ -249,6 +249,68 @@ let test_perf_workload_verdict () =
         (Guest.Scenario.passes sc))
     [ 2; 100 ]
 
+(* write(fd, buf, 0xFFFFFFFF): the monitor's pre-syscall hook reads the
+   buffer's taint with the guest's raw length before the kernel faults
+   the call.  The expected verdict, warning and transfer event are
+   those a shadow that walked every 4 KiB page of the length reported.
+   The read stops at the end of the 1 MiB space, at most 256 page
+   visits, so twenty sessions take a few milliseconds of CPU; walking
+   the length took ~20 ms a session (x86_64, 2 vCPUs). *)
+let test_unbounded_write_length () =
+  let exe =
+    let u = Asm.create ~path:"/bin/w" ~kind:Binary.Image.Executable
+        ~base:0x1000 ()
+    in
+    Guest.Runtime.prologue u;
+    Asm.asciz u "dst" "/out";
+    Asm.space u "fd" 4;
+    Asm.label u "_start";
+    Guest.Runtime.sys_read u ~fd:(Asm.imm 0) ~buf:(Asm.lbl "__buf")
+      ~len:(Asm.imm 16);
+    Guest.Runtime.sys_creat u ~path:(Asm.lbl "dst");
+    Asm.movl u (Asm.mlbl "fd") Asm.eax;
+    Guest.Runtime.sys_write u ~fd:(Asm.mlbl "fd") ~buf:(Asm.lbl "__buf")
+      ~len:(Asm.imm 0xFFFFFFFF);
+    Guest.Runtime.sys_exit u 0;
+    Asm.hlt u;
+    Asm.finalize u
+  in
+  let setup =
+    Hth.Session.setup ~programs:[ exe ] ~user_input:[ "0123456789abcdef" ]
+      ~main:"/bin/w" ()
+  in
+  let r = Hth.Session.run setup in
+  Alcotest.(check string) "verdict" "suspicious[HIGH]"
+    (Fmt.to_to_string Hth.Report.pp_verdict (Hth.Report.verdict r));
+  Alcotest.(check (list string)) "warnings"
+    [ "Warning [HIGH] Found Write call to /out\n\
+       \tThe Data written to this file is originated from the \
+       BINARY:(\"/bin/w\")\n\
+       \tMoreover, it seems that the name of the file: /out originated \
+       from a BINARY: (\"/bin/w\")" ]
+    (List.map Secpert.Warning.to_string r.warnings);
+  (match
+     List.find_map
+       (function
+         | Harrier.Events.Transfer { data; len; _ } -> Some (data, len)
+         | _ -> None)
+       r.events
+   with
+   | Some (data, len) ->
+     check_int "raw guest length" 0xFFFFFFFF len;
+     check "the buffer's user input" true (Taint.Tagset.has_user_input data);
+     Alcotest.(check (list string)) "and the data sections above it"
+       [ "/bin/w" ] (Taint.Tagset.binaries data)
+   | None -> Alcotest.fail "no transfer event");
+  (match r.os_report.rep_final with
+   | [ (1, "/bin/w", Osim.Process.Killed why) ] ->
+     check "the kernel faults the call" true
+       (Astring.String.is_prefix ~affix:"syscall fault" why)
+   | _ -> Alcotest.fail "unexpected final states");
+  let t0 = Sys.time () in
+  for _ = 1 to 20 do ignore (Hth.Session.run setup) done;
+  check "twenty sessions in under 0.2 s of CPU" true (Sys.time () -. t0 < 0.2)
+
 (* Two domains resolving one scenario at once both get the physically
    same value, built once: a fresh spec whose build function counts its
    calls (and dawdles, to widen the race), and a corpus lookup by
@@ -318,6 +380,8 @@ let suite =
       test_monitor_transparency;
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
     Alcotest.test_case "corpus scale" `Quick test_corpus_scale;
+    Alcotest.test_case "write of a 4 GiB guest length" `Quick
+      test_unbounded_write_length;
     Alcotest.test_case "perf workload verdict at two sizes" `Quick
       test_perf_workload_verdict;
     Alcotest.test_case "registry: concurrent find" `Quick

@@ -60,8 +60,9 @@ let watchdog_case =
         Fleet.Supervisor.create ~deadline:0.25 ~poll:0.01 ~jobs:1
           [ "default", eng ]
       in
-      (* ~14M-tick workload: far past the deadline on any host *)
-      let slow = Guest.Perf_workload.scenario ~iters:20_000 in
+      (* ~34M-instruction workload: far past the deadline on any host
+         (a fully tiered session runs it in ~1 s on a 2-vCPU x86_64) *)
+      let slow = Guest.Perf_workload.scenario ~iters:60_000 in
       let j_slow = Fleet.Executor.job slow.sc_setup in
       (match Fleet.Supervisor.submit sup j_slow with
        | Fleet.Supervisor.Admitted s -> Alcotest.(check int) "seq" 0 s

@@ -258,7 +258,40 @@ let test_pre_insn_hook_order () =
    | (a0, 0) :: (a1, 9) :: _ ->
      check_int "first addr" 0x1000 a0;
      check_int "second addr" 0x1001 a1
-   | _ -> Alcotest.fail "pre-insn hook order wrong")
+   | _ -> Alcotest.fail "pre-insn hook order wrong");
+  (* Under [step_block], an accepted block stands in for [pre_insn] on
+     its body and on the [Jcc] to an immediate target fused after it;
+     the hook sees only what is interpreted.  The body at 0x1000 ends in
+     a not-taken [jz]; the one-instruction body at 0x1003 ends in
+     [hlt], which stays interpreted. *)
+  let prog =
+    [ Mov (W, Reg EAX, Imm 9);
+      Add (Reg EBX, Reg EAX);
+      Jcc (Z, Imm 0x1000);
+      Nop;
+      Hlt ]
+  in
+  let addrs ~accept ~first_fuel =
+    let seen = ref [] in
+    let hooks = Machine.no_hooks () in
+    hooks.pre_insn <- (fun _ addr _ -> seen := addr :: !seen);
+    hooks.on_block <- (fun _ _ _ _ -> accept);
+    let m = machine_of ~hooks prog in
+    let rec go fuel =
+      match Machine.step_block m ~fuel with
+      | Machine.Stopped _ -> ()
+      | _ -> go 100
+    in
+    go first_fuel;
+    List.rev !seen
+  in
+  Alcotest.(check (list int)) "refused blocks: every instruction"
+    [ 0x1000; 0x1001; 0x1002; 0x1003; 0x1004 ]
+    (addrs ~accept:false ~first_fuel:100);
+  Alcotest.(check (list int)) "accepted: body and fused branch silent"
+    [ 0x1004 ] (addrs ~accept:true ~first_fuel:100);
+  Alcotest.(check (list int)) "fuel ends at the body: branch interpreted"
+    [ 0x1002; 0x1004 ] (addrs ~accept:true ~first_fuel:2)
 
 let test_segments () =
   let m = machine_of [ open_insn ] in
